@@ -2,17 +2,19 @@
 //!
 //! Kernels emit each surviving `(column, value)` pair of `C[i,:]` through a
 //! [`RowSink`] instead of pushing into concrete `Vec`s, so the same
-//! monomorphised kernel serves two assembly strategies:
+//! monomorphised kernel serves every destination:
 //!
-//! * [`VecSink`] — growable buffers, used by the legacy fragment-then-stitch
-//!   path (and by tests that want plain `Vec`s);
+//! * [`VecSink`] — growable buffers (`Accumulator::gather`, and tests that
+//!   want plain `Vec`s);
 //! * [`SlotSink`] — a cursor over a *preallocated* slot slice. The driver
 //!   sizes row `i`'s slot as `[mask.row_ptr[i], mask.row_ptr[i+1])`, which
 //!   is a hard bound: every gathered entry is a mask entry, so
 //!   `nnz(C[i,:]) ≤ nnz(M[i,:])`. Writing through a `SlotSink` therefore
 //!   never allocates and never overflows on well-formed inputs; a violated
 //!   bound (a buggy accumulator emitting a non-mask column twice) lands on
-//!   the slice bounds check and unwinds into the driver's panic isolation.
+//!   the slice bounds check and unwinds into the driver's panic isolation;
+//! * [`FusedSink`] — a chain of element-wise post-ops in front of another
+//!   sink (the fused graph path).
 
 use mspgemm_sparse::{Csr, Idx};
 
@@ -23,6 +25,15 @@ use mspgemm_sparse::{Csr, Idx};
 pub trait RowSink<T> {
     /// Append one surviving entry of the current output row.
     fn push(&mut self, j: Idx, v: T);
+}
+
+/// A borrowed sink is a sink, so a wrapper that adds nothing can hand the
+/// kernel its inner sink as-is (the call inlines away).
+impl<T, W: RowSink<T> + ?Sized> RowSink<T> for &mut W {
+    #[inline(always)]
+    fn push(&mut self, j: Idx, v: T) {
+        (**self).push(j, v);
+    }
 }
 
 /// Growable sink over a pair of caller-owned `Vec`s.

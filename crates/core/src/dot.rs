@@ -21,7 +21,9 @@
 //! measures exactly this crossover.
 
 use crate::config::Config;
-use mspgemm_sched::{run_tiles, tile::uniform_tiles};
+use crate::engine::pool_error;
+use crate::executor::Executor;
+use mspgemm_sched::{tile::uniform_tiles, PoolRunError};
 use mspgemm_sparse::{Csc, Csr, Idx, Semiring, SparseError};
 use std::sync::OnceLock;
 
@@ -96,12 +98,12 @@ pub fn masked_spgemm_dot<S: Semiring>(
     let results: Vec<OnceLock<TileOut<S::T>>> =
         (0..tiles.len()).map(|_| OnceLock::new()).collect();
 
-    let outcome = run_tiles(
-        n_threads,
-        tiles.len(),
-        config.schedule,
-        |_| (),
-        |_, t| {
+    // runs on the global executor's persistent pool, under its run lock
+    // like every other pool run (per-run metric deltas never interleave)
+    let exec = Executor::global().shared();
+    let outcome = {
+        let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
+        exec.pool.run_tiles(n_threads, tiles.len(), config.schedule, |_, _, t| {
             let tile = tiles[t];
             let mut row_nnz = Vec::with_capacity(tile.len());
             let mut cols = Vec::new();
@@ -122,23 +124,27 @@ pub fn masked_spgemm_dot<S: Semiring>(
                 row_nnz.push((cols.len() - before) as u32);
             }
             let _ = results[t].set(TileOut { row_nnz, cols, vals });
-        },
-    );
+        })
+    };
 
     // No degraded retry here: the dot kernel has no alternative
     // configuration to fall back across, so a failed tile surfaces
     // directly (the first failure names the tile).
-    if let Err(exec) = outcome {
-        let first = &exec.failures[0];
-        let tile = tiles.get(first.tile).copied().unwrap_or(mspgemm_sched::Tile {
-            lo: 0,
-            hi: a.nrows(),
-        });
-        return Err(SparseError::TileFailed {
-            tile: first.tile,
-            rows: (tile.lo, tile.hi),
-            detail: first.payload.clone(),
-        });
+    match outcome {
+        Ok(_) => {}
+        Err(PoolRunError::Pool(e)) => return Err(pool_error(e)),
+        Err(PoolRunError::Tiles(failed)) => {
+            let first = &failed.failures[0];
+            let tile = tiles.get(first.tile).copied().unwrap_or(mspgemm_sched::Tile {
+                lo: 0,
+                hi: a.nrows(),
+            });
+            return Err(SparseError::TileFailed {
+                tile: first.tile,
+                rows: (tile.lo, tile.hi),
+                detail: first.payload.clone(),
+            });
+        }
     }
 
     let mut row_ptr = Vec::with_capacity(a.nrows() + 1);

@@ -1,40 +1,55 @@
-//! The parallel masked-SpGEMM driver: tiling × scheduling × accumulator ×
-//! iteration space, assembled exactly as the paper's experiments require.
+//! The masked-SpGEMM entry points for plain products: one product
+//! ([`spgemm`], [`crate::Executor::execute`], [`crate::plan::Plan`]) and
+//! a coalesced batch of products (the concurrent [`crate::Service`]).
 //!
-//! Pipeline per call (all passes are `O(nnz)` or better):
+//! Pipeline per product (all passes are `O(nnz)` or better):
 //!
 //! 1. the symbolic phase — shape validation, Eq. 2 work estimation, tiling
-//!    and slot layout — captured in a `PlanCore` (built per
-//!    call by [`spgemm`], built *once* by [`crate::Executor::plan`] and
-//!    reused across calls);
-//! 2. run the tiles on the executor's persistent worker pool
-//!    ([`mspgemm_sched::WorkerPool`]); each worker's accumulator lives in
-//!    its cross-run [`mspgemm_sched::WorkerScratch`], keyed by plan
-//!    identity, so it persists across every tile the worker claims — and,
-//!    under a reused plan, across every *run*;
-//! 3. assemble the output CSR.
+//!    and slot layout — captured in a `PlanCore` (built per call by
+//!    [`spgemm`], built *once* by [`crate::Executor::plan`] and reused
+//!    across calls);
+//! 2. the parallel phase on the executor's persistent worker pool
+//!    ([`mspgemm_sched::WorkerPool`]): every tile claims its slot window
+//!    and the kernels write its rows straight into it;
+//! 3. the settle: degraded retry of any lost tile, then compaction into
+//!    the output CSR.
+//!
+//! # One engine, three callers
+//!
+//! Steps 2 and 3 are the tile-run engine (`crate::engine`), shared by
+//! three entry points that differ only in how they claim tiles:
+//!
+//! * a single product runs its tiles under the configured
+//!   [`Schedule`](mspgemm_sched::Schedule); each worker's accumulator lives
+//!   in its cross-run [`mspgemm_sched::WorkerScratch`], keyed by plan
+//!   identity, so it persists across every tile the worker claims — and,
+//!   under a reused plan, across every *run*;
+//! * a Service batch interleaves the tiles of many products into one pool
+//!   synchronisation (`WorkerPool::run_tiles_multi`); workers switch jobs
+//!   tile by tile, so accumulators are cached per job and per worker in
+//!   the plan's scratch instead;
+//! * a [`crate::PlanGraph`] runs every node of a chain per tile
+//!   (`crate::graph`).
+//!
+//! All three use the same slot layout, accumulator dispatch, row loop,
+//! recovery and compaction.
 //!
 //! # Output assembly
 //!
-//! The default ([`Assembly::InPlace`]) exploits the mask's hard bound
-//! `nnz(C[i,:]) ≤ nnz(M[i,:])`: the plan sizes the output `cols`/`vals`
-//! buffers at `nnz(M)` once, each tile claims its disjoint slot range
-//! through [`mspgemm_sched::DisjointSlots`] and the kernels write rows
-//! straight into their slots (zero steady-state allocation); a compaction
-//! pass then squeezes out the per-row slack and builds the final
-//! `row_ptr` — and when there is no slack the slot buffers *are* the
-//! output, with nothing copied at all. Under a reused plan the slot
-//! buffers themselves survive across runs in the plan's
-//! `PlanScratch`, resized without clearing (every
-//! surviving row slot is rewritten before compaction reads it).
-//! [`Assembly::Legacy`] keeps the historical fragment-then-stitch pipeline
-//! (per-tile growable buffers + serial full-output copy) as the
-//! bit-identical reference.
+//! The mask's hard bound `nnz(C[i,:]) ≤ nnz(M[i,:])` sizes the output
+//! `cols`/`vals` buffers at `nnz(M)` once; each tile claims its disjoint
+//! slot range through [`mspgemm_sched::DisjointSlots`] and the kernels
+//! write rows straight into their slots (zero steady-state allocation). A
+//! compaction pass then squeezes out the per-row slack and builds the
+//! final `row_ptr` — and when there is no slack the slot buffers *are*
+//! the output, with nothing copied at all. Under a reused plan the slot
+//! buffers survive across runs in the plan's `PlanScratch`, resized
+//! without clearing.
 //!
 //! # Fault tolerance
 //!
 //! Tile execution is panic-isolated (see `mspgemm_sched`): a kernel that
-//! unwinds loses only its own tile, and the driver retries each lost tile
+//! unwinds loses only its own tile, and the engine retries each lost tile
 //! **once, serially, with the conservative configuration** — the vanilla
 //! saxpy kernel over a dense `u64`-marker accumulator — before giving up.
 //! All kernels accumulate each output row's products in the same `k`
@@ -48,32 +63,28 @@
 //! [`RunStats::retried_tiles`] / [`RunStats::failed_tiles`] make any
 //! degradation observable.
 
-use crate::config::{Assembly, Config, IterationSpace};
+use crate::engine::{
+    compact, dispatch, hash_slack, pool_error, recover, tile_outcome, AccVisitor, NoPost,
+    RetryStats, RowKernel, SlotBufs, TileAcc, TileLedger, TileSlots, TileWindow,
+};
 use crate::executor::{Executor, ExecutorShared};
-use crate::kernels::{
-    row_coiterate, row_hybrid, row_mask_accumulate, row_vanilla, tally_row_hybrid, HybridStats,
-};
 use crate::plan::{PlanCore, PlanScratch};
-use mspgemm_accum::{
-    Accumulator, AccumulatorKind, DenseAccumulator, HashAccumulator, MarkerWidth, RowSink,
-    SlotSink, SortAccumulator, VecSink,
-};
+use crate::config::Config;
+use mspgemm_accum::{Accumulator, DenseAccumulator};
 use mspgemm_rt::{failpoint, obs};
 use mspgemm_sched::{
-    catch_tile_panic, CancelToken, DisjointSlots, ExecError, MultiRun, PoolError, PoolRunError,
-    Schedule, ThreadReport, Tile, TileFailure, WorkerScratch,
+    CancelToken, MultiOutcome, MultiRun, PoolRunError, ThreadReport, TileFailure, WorkerPool,
+    WorkerScratch,
 };
 use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
 use std::any::Any;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Measurements from one driver invocation.
 #[derive(Clone, Debug)]
 pub struct RunStats {
-    /// Wall time of the parallel section + stitch, **excluding** the
+    /// Wall time of the parallel phase + compaction, **excluding** the
     /// degraded serial retries (matching how the paper times the kernel:
     /// a fault-recovery pass is not part of the measured configuration).
     /// The retry window is reported separately in
@@ -128,14 +139,35 @@ impl RunStats {
     pub fn total(&self) -> Duration {
         self.setup + self.elapsed + self.retry_elapsed
     }
-}
 
-/// One tile's output fragment.
-struct TileResult<T> {
-    /// nnz of each row in the tile, in order.
-    row_nnz: Vec<u32>,
-    cols: Vec<Idx>,
-    vals: Vec<T>,
+    /// Assemble a settled run's stats. `window` is the run's wall time
+    /// *including* the retry pass, which is carved out into
+    /// `retry_elapsed`; `work` is `(estimated_work, n_tiles, n_threads)`.
+    pub(crate) fn new(
+        window: Duration,
+        setup: Duration,
+        retry: RetryStats,
+        thread_reports: Vec<ThreadReport>,
+        output_nnz: usize,
+        work: (u64, usize, usize),
+        metrics: Option<obs::MetricsSnapshot>,
+    ) -> Self {
+        let (estimated_work, n_tiles, n_threads) = work;
+        RunStats {
+            elapsed: window.saturating_sub(retry.elapsed),
+            setup,
+            retry_elapsed: retry.elapsed,
+            thread_reports,
+            estimated_work,
+            output_nnz,
+            n_tiles,
+            n_threads,
+            retried_tiles: retry.recovered,
+            failed_tiles: retry.failed,
+            overbook_spills: retry.spills,
+            metrics,
+        }
+    }
 }
 
 /// Compute `C = M ⊙ (A × B)` with the given configuration, on the
@@ -159,20 +191,100 @@ pub fn spgemm<S: Semiring>(
     Executor::global().execute::<S>(a, b, mask, config)
 }
 
-/// Map a pool-infrastructure failure onto the public error surface.
-pub(crate) fn pool_error(e: PoolError) -> SparseError {
-    match e {
-        PoolError::Poisoned { detail } => SparseError::ExecutorPoisoned { detail },
-        PoolError::Spawn { detail } => {
-            SparseError::Internal { detail: format!("worker spawn: {detail}") }
-        }
+/// One prepared product: its frozen plan core and its operands.
+struct Product<'r, S: Semiring> {
+    core: &'r PlanCore,
+    a: &'r Csr<S::T>,
+    b: &'r Csr<S::T>,
+    mask: &'r Csr<S::T>,
+}
+
+impl<S: Semiring> Clone for Product<'_, S> {
+    fn clone(&self) -> Self {
+        *self
     }
 }
 
-/// Execute a prepared plan core on an executor: the numeric phase shared
-/// by every entry point ([`spgemm`], [`crate::Executor::execute`],
-/// [`crate::plan::Plan::execute`]). Holds the executor's run lock for the
+impl<S: Semiring> Copy for Product<'_, S> {}
+
+impl<'r, S: Semiring> Product<'r, S> {
+    /// Run `v` over this product's accumulator type.
+    fn dispatch<V: AccVisitor<S>>(&self, v: V) -> V::Out {
+        let core = self.core;
+        dispatch::<S, V>(
+            core.config.kernel.accumulator,
+            core.simd_probe,
+            self.b.ncols(),
+            core.max_row_entries,
+            v,
+        )
+    }
+
+    /// Adopt the plan's surviving slot buffers (or start fresh) and size
+    /// them for this product.
+    fn slot_bufs(&self, scratch: Option<&mut SlotBufs<S::T>>) -> SlotBufs<S::T> {
+        let mut bufs = scratch.map(std::mem::take).unwrap_or_default();
+        bufs.resize(self.core.layout.bound, self.a.nrows(), S::zero());
+        bufs
+    }
+
+    /// One tile of the parallel phase, into its claimed window.
+    fn compute<A: Accumulator<S>>(
+        &self,
+        w: &mut TileWindow<'_, S::T>,
+        ta: &mut TileAcc<S, A>,
+        make_full: &impl Fn() -> A,
+    ) -> u64 {
+        let core = self.core;
+        let k = RowKernel {
+            iteration: core.config.kernel.iteration,
+            simd: core.simd,
+            overbook_limit: core.overbook_row_entries,
+        };
+        crate::engine::compute_tile(w, k, self.a, self.b, self.mask, &mut NoPost, ta, make_full)
+    }
+
+    /// Recover lost tiles, then compact — the settle every product runs.
+    fn settle(
+        &self,
+        ledger: TileLedger,
+        failures: &[TileFailure],
+        cancel: Option<&CancelToken>,
+        mut bufs: SlotBufs<S::T>,
+        par: Option<(&WorkerPool, usize)>,
+        scratch: Option<&mut SlotBufs<S::T>>,
+    ) -> Result<(Csr<S::T>, RetryStats), SparseError> {
+        let (core, ncols) = (self.core, self.b.ncols());
+        let retry = recover(&core.tiles, ledger, failures, cancel, |t| {
+            let mut ta = TileAcc::new(DenseAccumulator::<S, u64>::new(ncols));
+            let mut w = core.layout.window(&core.tiles, t, &mut bufs);
+            crate::engine::compute_tile(
+                &mut w,
+                RowKernel::RETRY,
+                self.a,
+                self.b,
+                self.mask,
+                &mut NoPost,
+                &mut ta,
+                &|| DenseAccumulator::<S, u64>::new(ncols),
+            );
+        })?;
+        let shape = (self.a.nrows(), ncols);
+        let c = compact::<S>(&core.tiles, &core.layout, shape, bufs, par, scratch)?;
+        Ok((c, retry))
+    }
+
+    /// `(estimated_work, n_tiles, n_threads)` for [`RunStats::new`].
+    fn work(&self, n_threads: usize) -> (u64, usize, usize) {
+        (self.core.estimated_work, self.core.tiles.len(), n_threads)
+    }
+}
+
+/// Execute a prepared plan core on an executor: the single-product path
+/// behind [`spgemm`], [`crate::Executor::execute`] and
+/// [`crate::plan::Plan::execute`]. Holds the executor's run lock for the
 /// whole run so per-run metric deltas never interleave.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_plan<S: Semiring>(
     exec: &ExecutorShared,
     core: &PlanCore,
@@ -184,141 +296,79 @@ pub(crate) fn run_plan<S: Semiring>(
     setup: Duration,
 ) -> Result<(Csr<S::T>, RunStats), SparseError> {
     let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
-
-    let metrics_on = obs::armed();
-    let before = if metrics_on { Some(obs::snapshot()) } else { None };
+    let before = obs::armed().then(obs::snapshot);
     obs::incr(obs::Counter::DriverRuns);
 
     let start = Instant::now();
-    let (result, reports, retry) =
-        dispatch_accumulator::<S>(exec, core, scratch, cancel, a, b, mask)?;
-    // the degraded retry window is timed inside the run; subtract it so
-    // `elapsed` measures the configuration, not the recovery
-    let elapsed = start.elapsed().saturating_sub(retry.elapsed);
-
-    // mask bound minus realised output: the per-row slack the in-place
-    // assembly preallocates and then compacts away (identical under the
-    // legacy path — the outputs are bit-identical)
-    obs::add(
-        obs::Counter::DriverSlackNnz,
-        (mask.nnz() - result.nnz()) as u64,
-    );
-
-    let metrics = before.map(|b| obs::snapshot().delta_since(&b));
-    let stats = RunStats {
-        elapsed,
-        setup,
-        retry_elapsed: retry.elapsed,
-        thread_reports: reports,
-        estimated_work: core.estimated_work,
-        output_nnz: result.nnz(),
-        n_tiles: core.tiles.len(),
-        n_threads: core.n_threads,
-        retried_tiles: retry.recovered,
-        failed_tiles: retry.failed,
-        overbook_spills: retry.spills,
-        metrics,
+    note_overbook_savings::<S>(core);
+    let job = Product::<S> { core, a, b, mask };
+    let mut scratch = scratch.map(|s| &mut s.slots);
+    let mut bufs = job.slot_bufs(scratch.as_deref_mut());
+    let ledger = TileLedger::new(core.tiles.len());
+    let outcome = {
+        let slots = TileSlots::new(&mut bufs, &core.layout, &core.tiles, &core.row_ranges)?;
+        job.dispatch(SingleRun { pool: &exec.pool, job, slots: &slots, ledger: &ledger, cancel })
     };
-    Ok((result, stats))
+    let (reports, failures) = tile_outcome(outcome)?;
+    let par = Some((&exec.pool, core.n_threads));
+    let (c, retry) = job.settle(ledger, &failures, cancel, bufs, par, scratch)?;
+    let metrics = before.map(|b| obs::snapshot().delta_since(&b));
+    let stats = RunStats::new(
+        start.elapsed(),
+        setup,
+        retry,
+        reports,
+        c.nnz(),
+        job.work(core.n_threads),
+        metrics,
+    );
+    Ok((c, stats))
 }
 
-/// What the degraded-retry pass did, threaded up into [`RunStats`].
-#[derive(Clone, Copy, Debug, Default)]
-struct RetryStats {
-    /// Tiles that failed in the parallel phase.
-    failed: usize,
-    /// Tiles recovered by the serial degraded retry.
-    recovered: usize,
-    /// Wall time of the retry pass.
-    elapsed: Duration,
-    /// Overbooked-accumulator spill recomputes performed by the parallel
-    /// phase (not a retry stat, but threaded through the same per-run
-    /// accounting into [`RunStats::overbook_spills`]).
-    spills: u64,
+/// The single-product parallel phase: the product's tiles under its
+/// configured schedule, honouring `cancel`.
+struct SingleRun<'r, S: Semiring> {
+    pool: &'r WorkerPool,
+    job: Product<'r, S>,
+    slots: &'r TileSlots<'r, S::T>,
+    ledger: &'r TileLedger,
+    cancel: Option<&'r CancelToken>,
 }
 
-/// Monomorphise on the accumulator family × marker width — and on the
-/// metering flag: armed runs use the counting (`METER = true`)
-/// accumulator instantiations, unarmed runs compile to instantiations
-/// whose hot loops are instruction-identical to the uninstrumented
-/// baseline. Arming is checked once per driver call, never per element.
-/// (The worker-persistent accumulator cache keys on `TypeId`, so flipping
-/// the flag between runs transparently rebuilds the scratch.)
-fn dispatch_accumulator<S: Semiring>(
-    exec: &ExecutorShared,
-    core: &PlanCore,
-    scratch: Option<&mut PlanScratch<S>>,
-    cancel: Option<&CancelToken>,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-) -> Result<(Csr<S::T>, Vec<ThreadReport>, RetryStats), SparseError> {
-    if obs::armed() {
-        dispatch_metered::<S, true>(exec, core, scratch, cancel, a, b, mask)
-    } else {
-        dispatch_metered::<S, false>(exec, core, scratch, cancel, a, b, mask)
-    }
-}
+impl<S: Semiring> AccVisitor<S> for SingleRun<'_, S> {
+    type Out = Result<Vec<ThreadReport>, PoolRunError>;
 
-fn dispatch_metered<S: Semiring, const METER: bool>(
-    exec: &ExecutorShared,
-    core: &PlanCore,
-    scratch: Option<&mut PlanScratch<S>>,
-    cancel: Option<&CancelToken>,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-) -> Result<(Csr<S::T>, Vec<ThreadReport>, RetryStats), SparseError> {
-    let ncols = b.ncols();
-    // The maker takes the accumulator's row capacity so the run paths can
-    // size worker accumulators at the plan's *overbooked* bound and spill
-    // rebuilds at the hard bound from one closure (dense ignores it — its
-    // table is the full column range either way).
-    match core.config.kernel.accumulator {
-        AccumulatorKind::Dense(w) => match w {
-            MarkerWidth::W8 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |_c| {
-                DenseAccumulator::<S, u8, METER>::new(ncols)
-            }),
-            MarkerWidth::W16 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |_c| {
-                DenseAccumulator::<S, u16, METER>::new(ncols)
-            }),
-            MarkerWidth::W32 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |_c| {
-                DenseAccumulator::<S, u32, METER>::new(ncols)
-            }),
-            MarkerWidth::W64 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |_c| {
-                DenseAccumulator::<S, u64, METER>::new(ncols)
-            }),
-        },
-        AccumulatorKind::Hash(w) => {
-            let full = core.max_row_entries;
-            match w {
-                MarkerWidth::W8 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |cap| {
-                    HashAccumulator::<S, u8, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-                MarkerWidth::W16 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |cap| {
-                    HashAccumulator::<S, u16, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-                // The 8-lane probe wants 32-bit keys *and* marks, so W32 is
-                // the only width with a vector instantiation. Only
-                // `SimdMode::Force` resolves `simd_probe` on: slack-sized
-                // tables keep chains inside the scalar fast path, so Auto
-                // keeps the scalar probe (see the plan prologue).
-                MarkerWidth::W32 if core.simd_probe => {
-                    run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |cap| {
-                        HashAccumulator::<S, u32, METER, true>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                    })
+    fn visit<A, F>(self, make: F) -> Self::Out
+    where
+        A: Accumulator<S> + 'static,
+        F: Fn(usize) -> A + Copy + Send + Sync + 'static,
+    {
+        let core = self.job.core;
+        let (overbook, full) = (core.overbook_row_entries, core.max_row_entries);
+        let n_tiles = core.tiles.len();
+        self.pool.run_tiles_cancellable(
+            core.n_threads,
+            n_tiles,
+            core.config.schedule,
+            self.cancel,
+            |_, ws, t| {
+                failpoint::maybe_fire(failpoint::TILE_KERNEL, t as u64);
+                if ws.current_tile_abandoned() {
+                    // the watchdog already handed this tile to the degraded
+                    // serial path; leave it uncompleted and let settle own it
+                    return;
                 }
-                MarkerWidth::W32 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |cap| {
-                    HashAccumulator::<S, u32, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-                MarkerWidth::W64 => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |cap| {
-                    HashAccumulator::<S, u64, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-            }
-        }
-        AccumulatorKind::Sort => run_generic::<S, _, _>(exec, core, scratch, cancel, a, b, mask, |cap| {
-            SortAccumulator::<S>::new(cap)
-        }),
+                let Some(mut w) = self.slots.claim(t, self.ledger) else { return };
+                // worker-persistent accumulators, keyed by plan identity:
+                // they survive every tile this worker claims *and* — under
+                // a reused plan — every run of the plan. The table is sized
+                // at the plan's overbooked bound; spill rebuilds use the
+                // hard bound.
+                let ta = ws.get_or_build(core.plan_id, || TileAcc::new(make(overbook)));
+                let spills = self.job.compute(&mut w, ta, &|| make(full));
+                self.ledger.finish(ws, t, spills);
+            },
+        )
     }
 }
 
@@ -339,351 +389,105 @@ pub(crate) struct BatchJob<'r, S: Semiring> {
     pub(crate) setup: Duration,
     /// Cooperative cancellation for this job alone: when the token fires
     /// (client cancel or enforced deadline) the claim loop stops issuing
-    /// this job's tiles and the settle phase reports
+    /// this job's tiles and the settle reports
     /// [`SparseError::Cancelled`] / [`SparseError::DeadlineExceeded`]
     /// instead of finishing the product. Sibling jobs are untouched.
     pub(crate) cancel: Option<&'r CancelToken>,
 }
 
-/// Per-job slot buffers for the multiplexed phase, adopted from the job's
-/// plan scratch or freshly built.
-struct BatchBufs<S: Semiring> {
-    cols: Vec<Idx>,
-    vals: Vec<S::T>,
-    nnz: Vec<u32>,
+impl<'r, S: Semiring> BatchJob<'r, S> {
+    fn product(&self) -> Product<'r, S> {
+        Product { core: self.core, a: self.a, b: self.b, mask: self.mask }
+    }
 }
 
-/// The shared-buffer views one multiplexed job exposes to its tile body.
-struct JobViews<'b, S: Semiring> {
-    cols: DisjointSlots<'b, Idx>,
-    vals: DisjointSlots<'b, S::T>,
-    nnz: DisjointSlots<'b, u32>,
-    completed: Vec<OnceLock<()>>,
-    duplicate: Mutex<Option<usize>>,
-    /// Overbook spill recomputes performed by this job's tiles (workers
-    /// interleave jobs, so the count must be per-view, not per-worker).
-    spills: AtomicU64,
-}
+/// Per-worker accumulator cells of one batch job (see [`BatchBody`]).
+type AccCells = Vec<Mutex<Option<Box<dyn Any + Send>>>>;
 
-/// Build one job's type-erased tile body for the multiplexed run,
-/// monomorphised on its accumulator. Unlike the single-run path, the
-/// accumulator cannot live in the worker's [`WorkerScratch`] — that cache
-/// has exactly one slot, and workers interleave tiles from *different*
-/// jobs, so parking per-job state there would rebuild it on every job
-/// switch. Each job instead reads a per-worker accumulator cell from its
-/// plan scratch (`PlanScratch::accums`), built lazily on the worker's
-/// first tile of this job and *persisted across runs* of the leased
-/// plan. A cell holding a stale type (different accumulator family, or
-/// the `METER` flag flipped by arming metrics) fails the downcast and is
-/// rebuilt from clean. A mid-tile panic poisons the cell's mutex; the
-/// poisoned lock is treated as "state may be mid-update, rebuild from
-/// clean" — the exact analogue of `WorkerScratch::invalidate`.
-fn batch_body_with<'x, S, A, F>(
-    core: &'x PlanCore,
-    a: &'x Csr<S::T>,
-    b: &'x Csr<S::T>,
-    mask: &'x Csr<S::T>,
-    views: &'x JobViews<'x, S>,
+/// One job's type-erased tile body for the multiplexed run. Unlike the
+/// single-product path, the accumulator cannot live in the worker's
+/// [`WorkerScratch`] — that cache has exactly one slot, and workers
+/// interleave tiles from *different* jobs, so parking per-job state there
+/// would rebuild it on every job switch. Each job instead reads a
+/// per-worker accumulator cell from its plan scratch
+/// (`PlanScratch::accums`), built lazily on the worker's first tile of
+/// this job and *persisted across runs* of the leased plan. A stale or
+/// poisoned cell is rebuilt from clean (see [`lock_cell`]).
+struct BatchBody<'x, S: Semiring> {
+    job: Product<'x, S>,
+    slots: &'x TileSlots<'x, S::T>,
+    ledger: &'x TileLedger,
     accs: &'x [Mutex<Option<Box<dyn Any + Send>>>],
-    make_acc: F,
-) -> Box<dyn Fn(usize, &mut WorkerScratch, usize) + Sync + 'x>
-where
-    S: Semiring,
-    A: Accumulator<S> + Send + 'static,
-    F: Fn(usize) -> A + Sync + 'x,
-{
-    let iteration = core.config.kernel.iteration;
-    let simd = core.simd;
-    let overbook = core.overbook_row_entries;
-    let full_cap = core.max_row_entries;
-    let tiles = &core.tiles;
-    Box::new(move |t, ws, tile_idx| {
-        failpoint::maybe_fire(failpoint::TILE_KERNEL, tile_idx as u64);
-        if ws.current_tile_abandoned() {
-            // the watchdog already handed this tile to the degraded
-            // serial path; leave it uncompleted and let settle own it
-            return;
-        }
-        let (Some(sc), Some(sv), Some(rn)) =
-            (views.cols.take(tile_idx), views.vals.take(tile_idx), views.nnz.take(tile_idx))
-        else {
-            let mut guard = views.duplicate.lock().unwrap_or_else(|e| e.into_inner());
-            guard.get_or_insert(tile_idx);
-            return;
-        };
-        let cell_mutex = &accs[t % accs.len()];
-        let mut cell = match cell_mutex.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                // a sibling tile of this job panicked while updating this
-                // worker's accumulator: rebuild from clean
-                cell_mutex.clear_poison();
-                let mut guard = poisoned.into_inner();
-                *guard = None;
-                guard
+}
+
+impl<'x, S: Semiring> AccVisitor<S> for BatchBody<'x, S> {
+    type Out = Box<dyn Fn(usize, &mut WorkerScratch, usize) + Sync + 'x>;
+
+    fn visit<A, F>(self, make: F) -> Self::Out
+    where
+        A: Accumulator<S> + 'static,
+        F: Fn(usize) -> A + Copy + Send + Sync + 'static,
+    {
+        let core = self.job.core;
+        let (overbook, full) = (core.overbook_row_entries, core.max_row_entries);
+        Box::new(move |worker, ws, t| {
+            failpoint::maybe_fire(failpoint::TILE_KERNEL, t as u64);
+            if ws.current_tile_abandoned() {
+                return;
             }
-        };
-        // the cached slot holds the worker table plus the spill scratch
-        // so both stay warm across tiles
-        if !cell.as_ref().is_some_and(|boxed| boxed.as_ref().is::<(A, OverbookSpill<S, A>)>()) {
-            // drop the stale value first so peak memory is one scratch
-            *cell = None;
-            *cell = Some(Box::new((make_acc(overbook), OverbookSpill::<S, A>::new())));
-        }
-        let Some(pair) = cell
-            .as_deref_mut()
-            .and_then(|boxed| boxed.downcast_mut::<(A, OverbookSpill<S, A>)>())
-        else {
-            // unreachable: the branch above just installed the pair.
-            // Bailing leaves the tile uncompleted, which the settle phase
-            // repairs through the degraded serial retry.
-            return;
-        };
-        let (acc, spill_acc) = (&mut pair.0, &mut pair.1);
-        let mut hstats = HybridStats::armed();
-        let (nlo, nhi) = core.nonempty_ranges[tile_idx];
-        let spilled = compute_tile_slots_sparse::<S, A, _>(
-            tiles[tile_idx],
-            &core.nonempty[nlo..nhi],
-            core.slot_ranges[tile_idx].0,
-            iteration,
-            simd,
-            overbook,
-            &|| make_acc(full_cap),
-            a,
-            b,
-            mask,
-            acc,
-            spill_acc,
-            &mut hstats,
-            sc,
-            sv,
-            rn,
-        );
-        if spilled > 0 {
-            views.spills.fetch_add(spilled, Ordering::Relaxed);
-        }
-        if !ws.current_tile_abandoned() {
-            let _ = views.completed[tile_idx].set(());
-        }
+            let Some(mut w) = self.slots.claim(t, self.ledger) else { return };
+            let mut cell = lock_cell(&self.accs[worker % self.accs.len()]);
+            // `None` is unreachable (the cell was just filled); bailing
+            // leaves the tile uncompleted, which the settle repairs
+            let Some(ta) = cached(&mut cell, || TileAcc::new(make(overbook))) else { return };
+            let spills = self.job.compute(&mut w, ta, &|| make(full));
+            self.ledger.finish(ws, t, spills);
+        })
+    }
+}
+
+/// Borrow the accumulator cached in a per-job cell (the batch path's
+/// analogue of `WorkerScratch::get_or_build`), rebuilding it when the
+/// cell is empty, holds a stale type, or was poisoned by a tile that
+/// panicked mid-update.
+fn lock_cell(
+    cell: &Mutex<Option<Box<dyn Any + Send>>>,
+) -> MutexGuard<'_, Option<Box<dyn Any + Send>>> {
+    cell.lock().unwrap_or_else(|poisoned| {
+        cell.clear_poison();
+        let mut guard = poisoned.into_inner();
+        *guard = None;
+        guard
     })
 }
 
-/// Dispatch [`batch_body_with`] on the job's accumulator family × marker
-/// width × metering flag — the batch-path mirror of [`dispatch_metered`].
-fn batch_body<'x, S: Semiring, const METER: bool>(
-    core: &'x PlanCore,
-    a: &'x Csr<S::T>,
-    b: &'x Csr<S::T>,
-    mask: &'x Csr<S::T>,
-    views: &'x JobViews<'x, S>,
-    accs: &'x [Mutex<Option<Box<dyn Any + Send>>>],
-) -> Box<dyn Fn(usize, &mut WorkerScratch, usize) + Sync + 'x> {
-    let ncols = b.ncols();
-    match core.config.kernel.accumulator {
-        AccumulatorKind::Dense(w) => match w {
-            MarkerWidth::W8 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |_c| {
-                DenseAccumulator::<S, u8, METER>::new(ncols)
-            }),
-            MarkerWidth::W16 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |_c| {
-                DenseAccumulator::<S, u16, METER>::new(ncols)
-            }),
-            MarkerWidth::W32 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |_c| {
-                DenseAccumulator::<S, u32, METER>::new(ncols)
-            }),
-            MarkerWidth::W64 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |_c| {
-                DenseAccumulator::<S, u64, METER>::new(ncols)
-            }),
-        },
-        AccumulatorKind::Hash(w) => {
-            let full = core.max_row_entries;
-            match w {
-                MarkerWidth::W8 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |cap| {
-                    HashAccumulator::<S, u8, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-                MarkerWidth::W16 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |cap| {
-                    HashAccumulator::<S, u16, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-                // W32 is the only width with a vector probe; see `dispatch_metered`
-                MarkerWidth::W32 if core.simd_probe => {
-                    batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |cap| {
-                        HashAccumulator::<S, u32, METER, true>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                    })
-                }
-                MarkerWidth::W32 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |cap| {
-                    HashAccumulator::<S, u32, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-                MarkerWidth::W64 => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |cap| {
-                    HashAccumulator::<S, u64, METER>::with_row_capacity_slack(cap, hash_slack(cap, full))
-                }),
-            }
-        }
-        AccumulatorKind::Sort => batch_body_with::<S, _, _>(core, a, b, mask, views, accs, move |cap| {
-            SortAccumulator::<S>::new(cap)
-        }),
+/// The cached `T` in `slot`, built by `build` when absent or of another
+/// type (e.g. arming metrics flips the accumulator's `METER` parameter).
+fn cached<T: Any + Send>(
+    slot: &mut Option<Box<dyn Any + Send>>,
+    build: impl FnOnce() -> T,
+) -> Option<&mut T> {
+    if !slot.as_ref().is_some_and(|boxed| boxed.as_ref().is::<T>()) {
+        // drop the stale value first so peak memory is one scratch
+        *slot = None;
+        *slot = Some(Box::new(build()));
     }
-}
-
-/// Finish one multiplexed job after the parallel phase: degraded serial
-/// retry for lost tiles, row-pointer prefix sum, stitch-failpoint replay,
-/// compaction (or zero-copy adoption when there is no slack), and scratch
-/// hand-back — step for step the tail of [`run_inplace`]. Compaction is
-/// always serial here: the batch path exists for many *small* products,
-/// and nesting pool runs per job inside a settled batch would serialize
-/// against the very synchronisation the batch amortised away.
-#[allow(clippy::too_many_arguments)]
-fn settle_batch_job<S: Semiring>(
-    core: &PlanCore,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    mut slot_cols: Vec<Idx>,
-    mut slot_vals: Vec<S::T>,
-    mut row_nnz: Vec<u32>,
-    completed: &[OnceLock<()>],
-    duplicate: Option<usize>,
-    spills: u64,
-    parallel_failures: &[TileFailure],
-    cancel: Option<&CancelToken>,
-    scratch: Option<&mut PlanScratch<S>>,
-) -> Result<(Csr<S::T>, RetryStats), SparseError> {
-    if let Some(tile_idx) = duplicate {
-        return Err(SparseError::Internal { detail: format!("tile {tile_idx} executed twice") });
-    }
-    let nrows = a.nrows();
-    let ncols = b.ncols();
-    let tiles = &core.tiles;
-
-    let mut payloads: HashMap<usize, String> = HashMap::new();
-    for f in parallel_failures {
-        payloads.entry(f.tile).or_insert_with(|| f.payload.clone());
-    }
-    let missing: Vec<usize> =
-        (0..tiles.len()).filter(|&i| completed[i].get().is_none()).collect();
-    // A cancelled job's skipped tiles are deliberately missing: report the
-    // cancellation (attributed to the deadline when that is what fired)
-    // instead of serially finishing a product nobody wants. A job whose
-    // every tile finished before the cancel was observed still settles.
-    if let Some(tok) = cancel {
-        if !missing.is_empty() && tok.is_cancelled() {
-            return Err(if tok.deadline_expired() {
-                SparseError::DeadlineExceeded
-            } else {
-                SparseError::Cancelled
-            });
-        }
-    }
-    let mut retry = RetryStats { failed: missing.len(), spills, ..RetryStats::default() };
-    let retry_start = (retry.failed > 0).then(Instant::now);
-    for tile_idx in missing {
-        let tile = tiles[tile_idx];
-        let (slo, shi) = core.slot_ranges[tile_idx];
-        let attempt = catch_tile_panic(|| {
-            let mut acc = DenseAccumulator::<S, u64>::new(ncols);
-            let mut hstats = HybridStats::armed();
-            compute_tile_slots::<S, _>(
-                tile,
-                IterationSpace::Vanilla,
-                false,
-                a,
-                b,
-                mask,
-                &mut acc,
-                &mut hstats,
-                &mut slot_cols[slo..shi],
-                &mut slot_vals[slo..shi],
-                &mut row_nnz[tile.lo..tile.hi],
-            );
-        });
-        match attempt {
-            Ok(()) => {
-                retry.recovered += 1;
-                obs::incr(obs::Counter::DriverRetriedTiles);
-            }
-            Err(retry_msg) => {
-                let first = payloads
-                    .remove(&tile_idx)
-                    .unwrap_or_else(|| "tile output missing".to_string());
-                return Err(SparseError::TileFailed {
-                    tile: tile_idx,
-                    rows: (tile.lo, tile.hi),
-                    detail: format!("parallel: {first}; degraded retry: {retry_msg}"),
-                });
-            }
-        }
-    }
-    if let Some(s) = retry_start {
-        retry.elapsed = s.elapsed();
-    }
-
-    let (row_ptr, output_nnz) = build_row_ptr(nrows, &core.nonempty, &row_nnz);
-
-    if let Err(msg) = catch_tile_panic(|| {
-        for idx in 0..tiles.len() {
-            failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
-        }
-    }) {
-        return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
-    }
-    obs::add(obs::Counter::DriverSlackNnz, (mask.nnz() - output_nnz) as u64);
-
-    if output_nnz == core.bound {
-        // no slack: the slot buffers are the output (see `run_inplace`)
-        if let Some(s) = scratch {
-            s.row_nnz = row_nnz;
-            return Ok((
-                Csr::from_parts_unchecked(nrows, ncols, row_ptr, slot_cols, slot_vals),
-                retry,
-            ));
-        }
-        return Ok((
-            Csr::from_parts_unchecked(nrows, ncols, row_ptr, slot_cols, slot_vals),
-            retry,
-        ));
-    }
-
-    let mut out_cols = vec![0 as Idx; output_nnz];
-    let mut out_vals = vec![S::zero(); output_nnz];
-    let res = catch_tile_panic(|| {
-        for (idx, t) in tiles.iter().enumerate() {
-            let (dlo, dhi) = (row_ptr[t.lo], row_ptr[t.hi]);
-            let (nlo, nhi) = core.nonempty_ranges[idx];
-            let bytes = copy_tile_rows::<S>(
-                *t,
-                &core.nonempty[nlo..nhi],
-                &row_ptr,
-                &slot_cols,
-                &slot_vals,
-                &mut out_cols[dlo..dhi],
-                &mut out_vals[dlo..dhi],
-            );
-            obs::add(obs::Counter::DriverCompactionBytes, bytes);
-        }
-    });
-    if let Err(msg) = res {
-        return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
-    }
-    if let Some(s) = scratch {
-        s.slot_cols = slot_cols;
-        s.slot_vals = slot_vals;
-        s.row_nnz = row_nnz;
-    }
-    Ok((Csr::from_parts_unchecked(nrows, ncols, row_ptr, out_cols, out_vals), retry))
+    slot.as_deref_mut().and_then(|boxed| boxed.downcast_mut::<T>())
 }
 
 /// Execute a *batch* of prepared products in one run-lock window, with
-/// every in-place job's tiles multiplexed onto a single pool
-/// synchronisation ([`mspgemm_sched::WorkerPool::run_tiles_multi`]) —
-/// the coalescing path the concurrent service uses for many small masked
-/// products. Legacy-assembly jobs (and a lone in-place job) run
-/// sequentially inside the same window instead; results come back in
-/// submission order, each job settling from its own failure accounting so
-/// one tenant's tile panics never fail a sibling's product.
+/// every job's tiles multiplexed onto a single pool synchronisation
+/// ([`mspgemm_sched::WorkerPool::run_tiles_multi`]) — the coalescing path
+/// the concurrent service uses for many small masked products. Results
+/// come back in submission order, each job settling from its own failure
+/// accounting so one tenant's tile panics never fail a sibling's product.
+/// Compaction is serial per job: the batch path exists for many *small*
+/// products.
 ///
 /// Per-job `RunStats` caveats, by construction of the shared run:
 /// `thread_reports` are the whole batch's (workers interleave jobs, so
 /// busy time is not attributable per job), `elapsed` is the shared
-/// parallel window plus the job's own serial settling, and `metrics` is
+/// parallel window plus the job's own serial settle, and `metrics` is
 /// `None` (process-global counter deltas cannot be split across
 /// multiplexed jobs).
 pub(crate) fn run_plan_batch<S: Semiring>(
@@ -691,699 +495,105 @@ pub(crate) fn run_plan_batch<S: Semiring>(
     mut jobs: Vec<BatchJob<'_, S>>,
 ) -> Vec<Result<(Csr<S::T>, RunStats), SparseError>> {
     let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
-    let n = jobs.len();
-    let mut results: Vec<Option<Result<(Csr<S::T>, RunStats), SparseError>>> =
-        (0..n).map(|_| None).collect();
-
-    let multi: Vec<usize> = {
-        let inplace: Vec<usize> = (0..n)
-            .filter(|&j| matches!(jobs[j].core.config.assembly, Assembly::InPlace))
-            .collect();
-        // a single in-place job gains nothing from the interleave and
-        // would lose the worker-persistent accumulator; run it alone
-        if inplace.len() >= 2 { inplace } else { Vec::new() }
-    };
-
-    // --- sequential jobs: legacy assembly, or a batch too small to
-    // multiplex. Same lock window, classic single-run path. ---
-    for j in 0..n {
-        if multi.contains(&j) {
-            continue;
-        }
+    let n_threads = jobs.iter().map(|j| j.core.n_threads).max().unwrap_or(1).max(1);
+    // slot buffers and accumulator cells are leased from each job's plan
+    // scratch so a cached plan re-executes without rebuilding them
+    let mut bufs = Vec::with_capacity(jobs.len());
+    let mut cells: Vec<AccCells> = Vec::with_capacity(jobs.len());
+    for job in &mut jobs {
         obs::incr(obs::Counter::DriverRuns);
-        let jstart = Instant::now();
-        let job = &mut jobs[j];
-        let outcome = dispatch_accumulator::<S>(
-            exec,
-            job.core,
-            job.scratch.as_deref_mut(),
-            job.cancel,
-            job.a,
-            job.b,
-            job.mask,
-        );
-        results[j] = Some(match outcome {
-            Ok((c, reports, retry)) => {
-                obs::add(obs::Counter::DriverSlackNnz, (job.mask.nnz() - c.nnz()) as u64);
-                let elapsed = jstart.elapsed().saturating_sub(retry.elapsed);
-                let output_nnz = c.nnz();
-                Ok((
-                    c,
-                    RunStats {
-                        elapsed,
-                        setup: job.setup,
-                        retry_elapsed: retry.elapsed,
-                        thread_reports: reports,
-                        estimated_work: job.core.estimated_work,
-                        output_nnz,
-                        n_tiles: job.core.tiles.len(),
-                        n_threads: job.core.n_threads,
-                        retried_tiles: retry.recovered,
-                        failed_tiles: retry.failed,
-                        overbook_spills: retry.spills,
-                        metrics: None,
-                    },
-                ))
-            }
-            Err(e) => Err(e),
-        });
+        note_overbook_savings::<S>(job.core);
+        let product = job.product();
+        let scratch = job.scratch.as_deref_mut();
+        let (slots, mut grid) = match scratch {
+            Some(s) => (product.slot_bufs(Some(&mut s.slots)), std::mem::take(&mut s.accums)),
+            None => (product.slot_bufs(None), Vec::new()),
+        };
+        if grid.len() < n_threads {
+            grid.resize_with(n_threads, || Mutex::new(None));
+        }
+        bufs.push(slots);
+        cells.push(grid);
     }
+    let ledgers: Vec<TileLedger> =
+        jobs.iter().map(|j| TileLedger::new(j.core.tiles.len())).collect();
 
-    if !multi.is_empty() {
-        // --- multiplexed in-place jobs: one pool synchronisation ---
-        let n_threads = multi.iter().map(|&j| jobs[j].core.n_threads).max().unwrap_or(1);
-        let mut bufs: Vec<BatchBufs<S>> = Vec::with_capacity(multi.len());
-        // per-job per-worker accumulator cells, leased from the plan
-        // scratch so a cached plan re-executes without rebuilding them
-        // (handed back below, mirroring the slot buffers)
-        let mut acc_grids: Vec<Vec<Mutex<Option<Box<dyn Any + Send>>>>> =
-            Vec::with_capacity(multi.len());
-        for &j in &multi {
-            obs::incr(obs::Counter::DriverRuns);
-            let job = &mut jobs[j];
-            note_overbook_savings::<S>(job.core);
-            let (mut cols, mut vals, mut nnz, mut grid) = match job.scratch.as_deref_mut() {
-                Some(s) => (
-                    std::mem::take(&mut s.slot_cols),
-                    std::mem::take(&mut s.slot_vals),
-                    std::mem::take(&mut s.row_nnz),
-                    std::mem::take(&mut s.accums),
-                ),
-                None => (Vec::new(), Vec::new(), Vec::new(), Vec::new()),
-            };
-            cols.resize(job.core.bound, 0 as Idx);
-            vals.resize(job.core.bound, S::zero());
-            nnz.resize(job.a.nrows(), 0u32);
-            if grid.len() < n_threads.max(1) {
-                grid.resize_with(n_threads.max(1), || Mutex::new(None));
-            }
-            bufs.push(BatchBufs { cols, vals, nnz });
-            acc_grids.push(grid);
-        }
+    let par_start = Instant::now();
+    let outcome = multiplex(&exec.pool, &jobs, &mut bufs, &ledgers, &cells, n_threads);
+    let par_elapsed = par_start.elapsed();
 
-        let par_start = Instant::now();
-        let mut slot_err: Option<SparseError> = None;
-        let mut run_outcome = None;
-        let accounting: Vec<(Vec<OnceLock<()>>, Option<usize>, u64)>;
-        {
-            let mut views: Vec<JobViews<'_, S>> = Vec::with_capacity(multi.len());
-            for (buf, &j) in bufs.iter_mut().zip(&multi) {
-                let core = jobs[j].core;
-                let BatchBufs { cols, vals, nnz } = buf;
-                let (cols, vals, nnz) = match (
-                    DisjointSlots::new(cols, &core.slot_ranges),
-                    DisjointSlots::new(vals, &core.slot_ranges),
-                    DisjointSlots::new(nnz, &core.row_ranges),
-                ) {
-                    (Ok(c), Ok(v), Ok(r)) => (c, v, r),
-                    (Err(detail), _, _) | (_, Err(detail), _) | (_, _, Err(detail)) => {
-                        slot_err = Some(SparseError::Internal { detail });
-                        break;
-                    }
-                };
-                views.push(JobViews {
-                    cols,
-                    vals,
-                    nnz,
-                    completed: (0..core.tiles.len()).map(|_| OnceLock::new()).collect(),
-                    duplicate: Mutex::new(None),
-                    spills: AtomicU64::new(0),
-                });
-            }
-            if slot_err.is_none() {
-                let metered = obs::armed();
-                let bodies: Vec<Box<dyn Fn(usize, &mut WorkerScratch, usize) + Sync + '_>> =
-                    views
-                        .iter()
-                        .zip(&multi)
-                        .zip(&acc_grids)
-                        .map(|((view, &j), accs)| {
-                            let job = &jobs[j];
-                            if metered {
-                                batch_body::<S, true>(
-                                    job.core, job.a, job.b, job.mask, view, accs,
-                                )
-                            } else {
-                                batch_body::<S, false>(
-                                    job.core, job.a, job.b, job.mask, view, accs,
-                                )
-                            }
-                        })
-                        .collect();
-                let runs: Vec<MultiRun<'_>> = bodies
-                    .iter()
-                    .zip(&multi)
-                    .map(|(body, &j)| MultiRun {
-                        n_tiles: jobs[j].core.tiles.len(),
-                        weight: jobs[j].weight,
-                        cancel: jobs[j].cancel,
-                        body: body.as_ref(),
-                    })
-                    .collect();
-                run_outcome = Some(exec.pool.run_tiles_multi(n_threads, &runs));
-            }
-            accounting = views
-                .into_iter()
-                .map(|v| {
-                    let dup = v.duplicate.into_inner().unwrap_or_else(|e| e.into_inner());
-                    (v.completed, dup, v.spills.into_inner())
-                })
-                .collect();
-        }
-        let par_elapsed = par_start.elapsed();
-
-        match run_outcome {
-            None => {
-                let e = slot_err.unwrap_or_else(|| SparseError::Internal {
-                    detail: "batch slot layout failed".to_string(),
-                });
-                for &j in &multi {
-                    results[j] = Some(Err(e.clone()));
-                }
-            }
-            Some(Err(pool)) => {
-                let e = pool_error(pool);
-                for &j in &multi {
-                    results[j] = Some(Err(e.clone()));
-                }
-            }
-            Some(Ok(out)) => {
-                for (((bi, &j), buf), (completed, dup, spills)) in
-                    multi.iter().enumerate().zip(bufs).zip(accounting)
-                {
-                    let sstart = Instant::now();
-                    let job = &mut jobs[j];
-                    let settled = settle_batch_job::<S>(
-                        job.core,
-                        job.a,
-                        job.b,
-                        job.mask,
-                        buf.cols,
-                        buf.vals,
-                        buf.nnz,
-                        &completed,
-                        dup,
-                        spills,
-                        &out.failures[bi],
-                        job.cancel,
-                        job.scratch.as_deref_mut(),
-                    );
-                    results[j] = Some(settled.map(|(c, retry)| {
-                        let output_nnz = c.nnz();
-                        (
-                            c,
-                            RunStats {
-                                elapsed: (par_elapsed + sstart.elapsed())
-                                    .saturating_sub(retry.elapsed),
-                                setup: job.setup,
-                                retry_elapsed: retry.elapsed,
-                                thread_reports: out.reports.clone(),
-                                estimated_work: job.core.estimated_work,
-                                output_nnz,
-                                n_tiles: job.core.tiles.len(),
-                                n_threads,
-                                retried_tiles: retry.recovered,
-                                failed_tiles: retry.failed,
-                                overbook_spills: retry.spills,
-                                metrics: None,
-                            },
-                        )
-                    }));
-                }
-            }
-        }
-
-        // hand the accumulator cells back to each job's plan scratch so
-        // the next run of a leased plan starts warm (every outcome path:
-        // a failed batch must not cost the cached plan its accumulators)
-        for (grid, &j) in acc_grids.into_iter().zip(&multi) {
-            if let Some(s) = jobs[j].scratch.as_deref_mut() {
-                s.accums = grid;
-            }
-        }
-    }
-
-    results
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|| {
-                Err(SparseError::Internal { detail: "batch job never settled".to_string() })
-            })
-        })
-        .collect()
-}
-
-/// Dispatch one output row through the configured kernel into `out`,
-/// replaying the hybrid kernel's Eq. 3 decisions when metrics are armed.
-/// Shared by both assembly paths — the kernels see the sink abstractly,
-/// so the monomorphised row loop is identical either way.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_row<S, A, R, W>(
-    i: usize,
-    iteration: IterationSpace,
-    simd: bool,
-    a: &R,
-    b: &Csr<S::T>,
-    mask_cols: &[Idx],
-    acc: &mut A,
-    hstats: &mut HybridStats,
-    out: &mut W,
-) where
-    S: Semiring,
-    A: Accumulator<S>,
-    R: crate::kernels::RowRead<S::T> + ?Sized,
-    W: RowSink<S::T> + ?Sized,
-{
-    // An empty mask row admits no output at all, whatever the iteration
-    // space — skip the row before touching A or B. This is what makes
-    // frontier-style masks (BFS, sparse queries) pay only for the rows
-    // they ask about instead of the whole product.
-    if mask_cols.is_empty() {
-        return;
-    }
-    match iteration {
-        IterationSpace::Vanilla => row_vanilla(i, a, b, mask_cols, acc, out),
-        IterationSpace::MaskAccumulate => row_mask_accumulate(i, a, b, mask_cols, acc, out),
-        IterationSpace::CoIterate => row_coiterate(i, a, b, mask_cols, simd, acc, out),
-        IterationSpace::Hybrid { kappa } => {
-            row_hybrid(i, a, b, mask_cols, kappa, simd, acc, out);
-            // replay the Eq. 3 decisions (pure function of the same
-            // inputs) so the kernel itself stays uninstrumented
-            if hstats.on {
-                tally_row_hybrid(i, a, b, mask_cols.len(), kappa, hstats);
-            }
-        }
-    }
-}
-
-/// Compute one tile's output fragment with the given iteration space and
-/// accumulator (the legacy assembly path). The buffers are sized by the
-/// tile's mask bound up front, so they never reallocate mid-row.
-fn compute_fragment<S, A>(
-    tile: Tile,
-    iteration: IterationSpace,
-    simd: bool,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    acc: &mut A,
-    hstats: &mut HybridStats,
-) -> TileResult<S::T>
-where
-    S: Semiring,
-    A: Accumulator<S>,
-{
-    // nnz(C) over the tile's rows cannot exceed the mask bound
-    let bound: usize = tile.rows().map(|i| mask.row_nnz(i)).sum();
-    let mut row_nnz = Vec::with_capacity(tile.len());
-    let mut cols = Vec::with_capacity(bound);
-    let mut vals = Vec::with_capacity(bound);
-    for i in tile.rows() {
-        let before = cols.len();
-        let (mask_cols, _) = mask.row(i);
-        run_row::<S, A, _, _>(
-            i,
-            iteration,
-            simd,
-            a,
-            b,
-            mask_cols,
-            acc,
-            hstats,
-            &mut VecSink { cols: &mut cols, vals: &mut vals },
-        );
-        row_nnz.push((cols.len() - before) as u32);
-    }
-    // fold this tile's instance-local tallies into the global registry —
-    // once per tile, outside the row loop, a no-op unless armed
-    acc.flush_metrics();
-    hstats.flush();
-    obs::add(obs::Counter::DriverTileOutputNnz, cols.len() as u64);
-    TileResult { row_nnz, cols, vals }
-}
-
-/// Compute one tile directly into its preallocated slots (the in-place
-/// assembly path). `slot_cols`/`slot_vals` are the tile's window of the
-/// shared bound-sized buffers; `row_nnz` is the tile's window of the
-/// global per-row nnz array. Performs **no heap allocation**: every row's
-/// slot is `[mask.row_ptr[i], mask.row_ptr[i+1])` relative to the tile
-/// base, and `nnz(C[i,:]) ≤ nnz(M[i,:])` guarantees it fits. Used by both
-/// the parallel phase and the degraded serial retry (which overwrites the
-/// exact same slots — every kernel folds each row's products in the same
-/// `k` order, so the retry is bit-identical).
-#[allow(clippy::too_many_arguments)]
-fn compute_tile_slots<S, A>(
-    tile: Tile,
-    iteration: IterationSpace,
-    simd: bool,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    acc: &mut A,
-    hstats: &mut HybridStats,
-    slot_cols: &mut [Idx],
-    slot_vals: &mut [S::T],
-    row_nnz: &mut [u32],
-) where
-    S: Semiring,
-    A: Accumulator<S>,
-{
-    let mut base = 0usize;
-    let mut tile_nnz = 0u64;
-    for (local, i) in tile.rows().enumerate() {
-        let (mask_cols, _) = mask.row(i);
-        let w = mask_cols.len();
-        let mut sink = SlotSink::for_row(
-            &mut slot_cols[base..base + w],
-            &mut slot_vals[base..base + w],
-            i,
-        );
-        run_row::<S, A, _, _>(i, iteration, simd, a, b, mask_cols, acc, hstats, &mut sink);
-        let n = sink.written();
-        row_nnz[local] = n as u32;
-        tile_nnz += n as u64;
-        base += w;
-    }
-    acc.flush_metrics();
-    hstats.flush();
-    obs::add(obs::Counter::DriverTileOutputNnz, tile_nnz);
-}
-
-/// Worker-persistent scratch for overbook spill recomputes, cached in the
-/// same plan-keyed slot as the overbooked accumulator.
-///
-/// The mask-bound iteration spaces (mask-accumulate, co-iteration, hybrid)
-/// never fold a product into a column outside `M[i,:]`, so an overflowed
-/// row does not need a hash table at the hard bound at all: it needs one
-/// value slot per *mask position*. The recompute walks the row's products
-/// in the same `(k, B[k,:])` order as the kernels, binary-searches each
-/// product column in the sorted mask row ([`crate::simd::find`] — the same
-/// search the co-iteration kernel uses), and folds into a mask-indexed
-/// dense scratch. Per-column folds still arrive in ascending-`k` order, so
-/// the result is bit-identical to what a hard-bound hash run writes — while
-/// skipping the `O(w)` preload and `O(w)` gather probes that make fat rows
-/// expensive in the first place. The scratch is epoch-marked (no per-row
-/// clear) and grows to the widest spilled row, so a run's spill cost is
-/// proportional to the fat rows it actually hits, never to the hard bound.
-///
-/// The vanilla kernel folds *unmasked* intermediate columns, so its bound
-/// is not the mask width; vanilla spills keep the classic recompute
-/// through a full-bound table, built lazily on the first such spill
-/// (`full`) and reused for the rest of the worker's lifetime.
-struct OverbookSpill<S: Semiring, A> {
-    vals: Vec<S::T>,
-    mark: Vec<u32>,
-    epoch: u32,
-    full: Option<A>,
-}
-
-impl<S: Semiring, A> OverbookSpill<S, A> {
-    fn new() -> Self {
-        OverbookSpill { vals: Vec::new(), mark: Vec::new(), epoch: u32::MAX, full: None }
-    }
-
-    /// Recompute one spilled row of a mask-bound iteration space into
-    /// `out`, bit-identically to a hard-bound hash run (same per-column
-    /// fold order, same first-touch/fma split, same mask-order emission).
-    fn recompute<W: RowSink<S::T> + ?Sized>(
-        &mut self,
-        i: usize,
-        a: &Csr<S::T>,
-        b: &Csr<S::T>,
-        mask_cols: &[Idx],
-        simd: bool,
-        out: &mut W,
-    ) {
-        let w = mask_cols.len();
-        if self.mark.len() < w {
-            self.mark.resize(w, u32::MAX);
-            self.vals.resize(w, S::zero());
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == u32::MAX {
-            // the resize fill value doubles as "never touched", so the
-            // epoch may never reach it; one full clear per 2³² spills
-            self.mark.fill(u32::MAX);
-            self.epoch = 0;
-        }
-        let e = self.epoch;
-        let (acols, avals) = a.row(i);
-        for (&k, &av) in acols.iter().zip(avals) {
-            let (bcols, bvals) = b.row(k as usize);
-            for (&j, &bv) in bcols.iter().zip(bvals) {
-                if let Some(pos) = crate::simd::find(mask_cols, j, simd) {
-                    if self.mark[pos] == e {
-                        self.vals[pos] = S::fma(self.vals[pos], av, bv);
-                    } else {
-                        self.mark[pos] = e;
-                        self.vals[pos] = S::mul(av, bv);
-                    }
-                }
-            }
-        }
-        for (pos, &j) in mask_cols.iter().enumerate() {
-            if self.mark[pos] == e {
-                out.push(j, self.vals[pos]);
-            }
-        }
-    }
-}
-
-/// [`compute_tile_slots`] for a *plan-driven* run: visit only the tile's
-/// nonempty mask rows (the plan's precomputed `(row, slot offset)` list)
-/// instead of scanning every row. An empty mask row admits no output and
-/// owns no slots, so the only thing the full scan did for it was write
-/// `row_nnz = 0` — which plan-owned buffers already hold: fresh buffers
-/// are zero-filled, reused ones belong to a plan whose fingerprint pins
-/// the mask's row pointers, so a row empty now was empty (and zero) on
-/// every earlier run. The degraded serial retry still uses the full scan,
-/// rewriting every row of a failed tile from clean.
-///
-/// This is also where overbooking pays its bill: `acc` may have been
-/// sized at the plan's quantile bound (`overbook_limit`) rather than the
-/// hard maximum. A row that outgrows it latches the accumulator's
-/// overflow flag; the row is then recomputed into the same slot window —
-/// through [`OverbookSpill`]'s mask-indexed dense scratch for the
-/// mask-bound iteration spaces, or through a lazily built full-bound
-/// table (`make_full`) for vanilla. Every kernel folds a row's products
-/// in the same `k` order, so the spill recompute is bit-identical to what
-/// an un-overbooked run writes. Returns the number of spilled rows.
-#[allow(clippy::too_many_arguments)]
-fn compute_tile_slots_sparse<S, A, G>(
-    tile: Tile,
-    nonempty: &[(Idx, usize)],
-    slot_lo: usize,
-    iteration: IterationSpace,
-    simd: bool,
-    overbook_limit: usize,
-    make_full: &G,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    acc: &mut A,
-    spill_acc: &mut OverbookSpill<S, A>,
-    hstats: &mut HybridStats,
-    slot_cols: &mut [Idx],
-    slot_vals: &mut [S::T],
-    row_nnz: &mut [u32],
-) -> u64
-where
-    S: Semiring,
-    A: Accumulator<S>,
-    G: Fn() -> A,
-{
-    let mut tile_nnz = 0u64;
-    let mut spills = 0u64;
-    // `spill_acc` lives in the same plan-keyed worker slot as `acc`, so
-    // it stays warm across tiles and runs exactly like the worker table
-    // does. The mask-preloading kernels are guaranteed to overflow a table
-    // narrower than the row's mask, so skip the doomed attempt outright.
-    // (A hybrid row that wide *might* squeak through co-iteration, but it
-    // is exactly the fat tail overbooking bets against — spilling it
-    // directly caps the cost at one recompute.)
-    let preloads = matches!(
-        iteration,
-        IterationSpace::MaskAccumulate | IterationSpace::Hybrid { .. }
-    );
-    for &(i, src) in nonempty {
-        let i = i as usize;
-        let (mask_cols, _) = mask.row(i);
-        let w = mask_cols.len();
-        let base = src - slot_lo;
-        let mut spill = preloads && w > overbook_limit;
-        let mut n = 0usize;
-        if !spill {
-            let mut sink = SlotSink::for_row(
-                &mut slot_cols[base..base + w],
-                &mut slot_vals[base..base + w],
-                i,
-            );
-            run_row::<S, A, _, _>(i, iteration, simd, a, b, mask_cols, acc, hstats, &mut sink);
-            n = sink.written();
-            // the latch *is* the overflow detector: a row that outgrew
-            // the overbooked table dropped entries above — redo it below
-            spill = acc.take_overflow();
-        }
-        if spill {
-            failpoint::maybe_fire(failpoint::OVERBOOK_SPILL, i as u64);
-            let mut sink = SlotSink::for_row(
-                &mut slot_cols[base..base + w],
-                &mut slot_vals[base..base + w],
-                i,
-            );
-            if matches!(iteration, IterationSpace::Vanilla) {
-                // vanilla folds unmasked intermediates: only a table at
-                // the hard (operation-count) bound can hold the row
-                let full = spill_acc.full.get_or_insert_with(make_full);
-                run_row::<S, A, _, _>(
-                    i, iteration, simd, a, b, mask_cols, full, hstats, &mut sink,
+    let results = match outcome {
+        Err(e) => jobs.iter().map(|_| Err(e.clone())).collect(),
+        Ok(out) => jobs
+            .iter_mut()
+            .zip(bufs)
+            .zip(ledgers)
+            .zip(&out.failures)
+            .map(|(((job, bufs), ledger), failures)| {
+                let settle_start = Instant::now();
+                let product = job.product();
+                let scratch = job.scratch.as_deref_mut().map(|s| &mut s.slots);
+                let (c, retry) =
+                    product.settle(ledger, failures, job.cancel, bufs, None, scratch)?;
+                let stats = RunStats::new(
+                    par_elapsed + settle_start.elapsed(),
+                    job.setup,
+                    retry,
+                    out.reports.clone(),
+                    c.nnz(),
+                    product.work(n_threads),
+                    None,
                 );
-            } else {
-                // mask-bound spaces: recompute through the mask-indexed
-                // dense scratch — no hard-bound table, no O(w) preload
-                spill_acc.recompute(i, a, b, mask_cols, simd, &mut sink);
-            }
-            n = sink.written();
-            spills += 1;
-            obs::incr(obs::Counter::AccumOverbookSpills);
+                Ok((c, stats))
+            })
+            .collect(),
+    };
+    // hand the accumulator cells back on every outcome path: a failed
+    // batch must not cost the cached plan its accumulators
+    for (job, grid) in jobs.iter_mut().zip(cells) {
+        if let Some(s) = job.scratch.as_deref_mut() {
+            s.accums = grid;
         }
-        row_nnz[i - tile.lo] = n as u32;
-        tile_nnz += n as u64;
     }
-    if let Some(full) = spill_acc.full.as_mut() {
-        full.flush_metrics();
-    }
-    acc.flush_metrics();
-    hstats.flush();
-    obs::add(obs::Counter::DriverTileOutputNnz, tile_nnz);
-    spills
+    results
 }
 
-/// Minimum compacted-output volume, in bytes, before the slack-squeeze
-/// pass is scheduled on the pool instead of running serially. Small
-/// outputs aren't worth a fork/join (and keeping unit-test-sized runs
-/// serial keeps per-run scheduler counters single-pass). Overridable via
-/// `MSPGEMM_COMPACT_PAR_MIN`, read once per process.
-fn compact_par_min() -> usize {
-    static MIN: OnceLock<usize> = OnceLock::new();
-    *MIN.get_or_init(|| {
-        std::env::var("MSPGEMM_COMPACT_PAR_MIN")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(4 << 20)
-    })
-}
-
-/// Copy one tile's rows from their slack-padded slots into the compacted
-/// output window `[row_ptr[tile.lo], row_ptr[tile.hi])`, returning the
-/// bytes moved. Pure per-tile function, safe to run from any worker: the
-/// sources are disjoint reads and the destination window is exclusive.
-/// `nonempty` is the tile's slice of the plan's nonempty-mask-row list —
-/// rows outside it own no slots and hold no output, so only the rows the
-/// mask asks about are visited (the frontier-mask settle cost).
-pub(crate) fn copy_tile_rows<S: Semiring>(
-    tile: Tile,
-    nonempty: &[(Idx, usize)],
-    row_ptr: &[usize],
-    slot_cols: &[Idx],
-    slot_vals: &[S::T],
-    dest_cols: &mut [Idx],
-    dest_vals: &mut [S::T],
-) -> u64 {
-    let dest_base = row_ptr[tile.lo];
-    for &(i, src) in nonempty {
-        let i = i as usize;
-        let n = row_ptr[i + 1] - row_ptr[i];
-        let d = row_ptr[i] - dest_base;
-        dest_cols[d..d + n].copy_from_slice(&slot_cols[src..src + n]);
-        dest_vals[d..d + n].copy_from_slice(&slot_vals[src..src + n]);
-    }
-    let entry = std::mem::size_of::<Idx>() + std::mem::size_of::<S::T>();
-    ((row_ptr[tile.hi] - dest_base) * entry) as u64
-}
-
-/// Build the output row pointer from the per-row nnz counts, visiting
-/// only the plan's nonempty mask rows — an empty mask row admits no
-/// output, so its count is structurally zero and the prefix between two
-/// nonempty rows is a constant run (written with `fill`, not walked).
-/// Returns `(row_ptr, output_nnz)`.
-pub(crate) fn build_row_ptr(
-    nrows: usize,
-    nonempty: &[(Idx, usize)],
-    row_nnz: &[u32],
-) -> (Vec<usize>, usize) {
-    let mut row_ptr = vec![0usize; nrows + 1];
-    let mut acc = 0usize;
-    let mut filled = 1usize; // row_ptr[..filled] is final
-    for &(i, _) in nonempty {
-        let i = i as usize;
-        if acc != 0 && filled <= i {
-            row_ptr[filled..=i].fill(acc);
-        }
-        acc += row_nnz[i] as usize;
-        row_ptr[i + 1] = acc;
-        filled = i + 2;
-    }
-    if acc != 0 && filled <= nrows {
-        row_ptr[filled..].fill(acc);
-    }
-    (row_ptr, acc)
-}
-
-/// The monomorphic parallel run, dispatched on the assembly strategy.
-///
-/// `A: 'static` because the per-worker accumulator is parked in the
-/// pool's type-erased [`mspgemm_sched::WorkerScratch`] between runs.
-/// `make` receives the row capacity to build at: the in-place path calls
-/// it with the plan's overbooked bound for worker accumulators and the
-/// hard bound for spill rebuilds; the legacy path always passes the hard
-/// bound (it is the bit-identical reference, never overbooked).
-fn run_generic<S, A, F>(
-    exec: &ExecutorShared,
-    core: &PlanCore,
-    scratch: Option<&mut PlanScratch<S>>,
-    cancel: Option<&CancelToken>,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    make: F,
-) -> Result<(Csr<S::T>, Vec<ThreadReport>, RetryStats), SparseError>
-where
-    S: Semiring,
-    A: Accumulator<S> + 'static,
-    F: Fn(usize) -> A + Sync,
-{
-    match core.config.assembly {
-        Assembly::InPlace => {
-            run_inplace::<S, A, F>(exec, core, scratch, cancel, a, b, mask, make)
-        }
-        Assembly::Legacy => run_legacy::<S, A, F>(exec, core, cancel, a, b, mask, make),
-    }
-}
-
-/// Slack factor for a hash table sized at `cap` entries under a plan
-/// whose hard bound is `full`.
-///
-/// A table sized at the hard bound runs at a vanishing load factor on
-/// typical rows, so the probe's freshness branch predicts perfectly; a
-/// quantile-sized table at the constructor's default 50 % load turns it
-/// into a per-probe coin flip, and on miss-heavy masked workloads that
-/// misprediction tax can cost more than the cache residency being bought.
-/// Overbooked tables (any `cap` below the hard bound) therefore get up
-/// to 32× slack — load ≤ ~3 % at the spill threshold, typically far less
-/// — which keeps them in the same predictable regime while staying
-/// orders of magnitude smaller than the max-bound table. The slack is
-/// clamped so the overbooked table never outgrows what the max-bound
-/// table would have been (a quantile close to the max deserves no
-/// amplification). The spill threshold itself is the entry limit and
-/// does not move with the slack.
-fn hash_slack(cap: usize, full: usize) -> usize {
-    if cap >= full {
-        2
-    } else {
-        (2 * full / cap.max(1)).clamp(2, 32)
-    }
+/// The batch's parallel phase: every job's tile body, interleaved into one
+/// `run_tiles_multi` claim order.
+fn multiplex<S: Semiring>(
+    pool: &WorkerPool,
+    jobs: &[BatchJob<'_, S>],
+    bufs: &mut [SlotBufs<S::T>],
+    ledgers: &[TileLedger],
+    cells: &[AccCells],
+    n_threads: usize,
+) -> Result<MultiOutcome, SparseError> {
+    let slots = jobs
+        .iter()
+        .zip(bufs.iter_mut())
+        .map(|(j, b)| TileSlots::new(b, &j.core.layout, &j.core.tiles, &j.core.row_ranges))
+        .collect::<Result<Vec<_>, _>>()?;
+    let bodies: Vec<_> = jobs
+        .iter()
+        .zip(&slots)
+        .zip(ledgers)
+        .zip(cells)
+        .map(|(((job, slots), ledger), accs)| {
+            let product = job.product();
+            product.dispatch(BatchBody { job: product, slots, ledger, accs })
+        })
+        .collect();
+    let runs: Vec<MultiRun<'_>> = jobs
+        .iter()
+        .zip(&bodies)
+        .map(|(job, body)| MultiRun {
+            n_tiles: job.core.tiles.len(),
+            weight: job.weight,
+            cancel: job.cancel,
+            body: body.as_ref(),
+        })
+        .collect();
+    pool.run_tiles_multi(n_threads, &runs).map_err(pool_error)
 }
 
 /// Record the scratch memory overbooking saved, as a per-run estimate:
@@ -1410,512 +620,11 @@ fn note_overbook_savings<S: Semiring>(core: &PlanCore) {
     );
 }
 
-/// Mask-bounded in-place assembly: preallocate at `nnz(M)` (or adopt the
-/// plan's surviving buffers), write rows into disjoint slots, compact the
-/// slack in parallel. See the module docs for the layout.
-fn run_inplace<S, A, F>(
-    exec: &ExecutorShared,
-    core: &PlanCore,
-    scratch: Option<&mut PlanScratch<S>>,
-    cancel: Option<&CancelToken>,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    make: F,
-) -> Result<(Csr<S::T>, Vec<ThreadReport>, RetryStats), SparseError>
-where
-    S: Semiring,
-    A: Accumulator<S> + 'static,
-    F: Fn(usize) -> A + Sync,
-{
-    let iteration = core.config.kernel.iteration;
-    let schedule = core.config.schedule;
-    let n_threads = core.n_threads;
-    let tiles = &core.tiles;
-    let bound = core.bound;
-    let plan_key = core.plan_id;
-    let nrows = a.nrows();
-    let ncols = b.ncols();
-    let simd = core.simd;
-    let overbook = core.overbook_row_entries;
-    let full_cap = core.max_row_entries;
-    note_overbook_savings::<S>(core);
-    let spill_count = AtomicU64::new(0);
-
-    // Adopt the plan's surviving buffers (resize is a no-op on a reused
-    // same-structure plan — no allocation, *no zeroing*: every surviving
-    // row slot is rewritten by its tile or by the degraded retry before
-    // compaction reads it) or build fresh ones for a one-shot run. On
-    // error paths the taken buffers are simply dropped; the plan rebuilds
-    // them on its next execution.
-    let mut scratch = scratch;
-    let (mut slot_cols, mut slot_vals, mut row_nnz) = match scratch.as_deref_mut() {
-        Some(s) => (
-            std::mem::take(&mut s.slot_cols),
-            std::mem::take(&mut s.slot_vals),
-            std::mem::take(&mut s.row_nnz),
-        ),
-        None => (Vec::new(), Vec::new(), Vec::new()),
-    };
-    slot_cols.resize(bound, 0 as Idx);
-    slot_vals.resize(bound, S::zero());
-    row_nnz.resize(nrows, 0u32);
-
-    let completed: Vec<OnceLock<()>> = (0..tiles.len()).map(|_| OnceLock::new()).collect();
-    let duplicate: Mutex<Option<usize>> = Mutex::new(None);
-
-    let outcome = {
-        let col_slots = DisjointSlots::new(&mut slot_cols, &core.slot_ranges)
-            .map_err(|detail| SparseError::Internal { detail })?;
-        let val_slots = DisjointSlots::new(&mut slot_vals, &core.slot_ranges)
-            .map_err(|detail| SparseError::Internal { detail })?;
-        let nnz_slots = DisjointSlots::new(&mut row_nnz, &core.row_ranges)
-            .map_err(|detail| SparseError::Internal { detail })?;
-        exec.pool.run_tiles_cancellable(n_threads, tiles.len(), schedule, cancel, |_t, ws, tile_idx| {
-            failpoint::maybe_fire(failpoint::TILE_KERNEL, tile_idx as u64);
-            if ws.current_tile_abandoned() {
-                // the watchdog already handed this tile to the degraded
-                // serial path; leave it uncompleted and let settle own it
-                return;
-            }
-            let (Some(sc), Some(sv), Some(rn)) = (
-                col_slots.take(tile_idx),
-                val_slots.take(tile_idx),
-                nnz_slots.take(tile_idx),
-            ) else {
-                let mut guard = duplicate.lock().unwrap_or_else(|e| e.into_inner());
-                guard.get_or_insert(tile_idx);
-                return;
-            };
-            // worker-persistent accumulators: keyed by plan identity, they
-            // survive every tile this worker claims *and* — under a
-            // reused plan — every run of the plan. The first element is
-            // sized at the plan's overbooked bound; the second is the
-            // spill scratch, grown on this worker's first spill and warm
-            // for every one after.
-            let pair = ws.get_or_build::<(A, OverbookSpill<S, A>), _>(plan_key, || {
-                (make(overbook), OverbookSpill::new())
-            });
-            let (acc, spill_acc) = (&mut pair.0, &mut pair.1);
-            let mut hstats = HybridStats::armed();
-            let (nlo, nhi) = core.nonempty_ranges[tile_idx];
-            let spilled = compute_tile_slots_sparse::<S, A, _>(
-                tiles[tile_idx],
-                &core.nonempty[nlo..nhi],
-                core.slot_ranges[tile_idx].0,
-                iteration,
-                simd,
-                overbook,
-                &|| make(full_cap),
-                a,
-                b,
-                mask,
-                acc,
-                spill_acc,
-                &mut hstats,
-                sc,
-                sv,
-                rn,
-            );
-            if spilled > 0 {
-                spill_count.fetch_add(spilled, Ordering::Relaxed);
-            }
-            if !ws.current_tile_abandoned() {
-                let _ = completed[tile_idx].set(());
-            }
-        })
-    };
-
-    if let Some(tile_idx) = duplicate.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(SparseError::Internal {
-            detail: format!("tile {tile_idx} executed twice"),
-        });
-    }
-
-    let (reports, parallel_failures) = match outcome {
-        Ok(reports) => (reports, Vec::new()),
-        Err(PoolRunError::Tiles(ExecError { failures, reports })) => (reports, failures),
-        Err(PoolRunError::Pool(e)) => return Err(pool_error(e)),
-    };
-
-    // --- degraded serial retry: vanilla kernel + dense u64 accumulator,
-    // writing into exactly the slots the tile owned. A panicked attempt
-    // only ever wrote inside them, and the retry overwrites every row's
-    // prefix and nnz, so recovery stays bit-identical. ---
-    let mut payloads: HashMap<usize, String> = HashMap::new();
-    for f in &parallel_failures {
-        payloads.entry(f.tile).or_insert_with(|| f.payload.clone());
-    }
-    let missing: Vec<usize> =
-        (0..tiles.len()).filter(|&i| completed[i].get().is_none()).collect();
-    // A cancelled run's unclaimed tiles are *deliberately* missing: the
-    // caller asked out, so abandon the partial output instead of burning
-    // the serial retry on it. (A token that fired because its deadline
-    // passed reports the miss as such.) A run every tile of which finished
-    // before anyone noticed the cancel still returns its result.
-    if let Some(tok) = cancel {
-        if !missing.is_empty() && tok.is_cancelled() {
-            return Err(if tok.deadline_expired() {
-                SparseError::DeadlineExceeded
-            } else {
-                SparseError::Cancelled
-            });
-        }
-    }
-    let mut retry = RetryStats {
-        failed: missing.len(),
-        spills: spill_count.load(Ordering::Relaxed),
-        ..RetryStats::default()
-    };
-    let retry_start = (retry.failed > 0).then(Instant::now);
-    for tile_idx in missing {
-        let tile = tiles[tile_idx];
-        let (slo, shi) = core.slot_ranges[tile_idx];
-        // The failpoint key used in the parallel body is the tile index,
-        // and the retry deliberately does NOT re-fire `tile-kernel`: the
-        // degraded path is the recovery path, exercised on its own via the
-        // `accum-reset` site. It is also deliberately the conservative
-        // *scalar* configuration — no SIMD, no overbooking.
-        let attempt = catch_tile_panic(|| {
-            let mut acc = DenseAccumulator::<S, u64>::new(ncols);
-            let mut hstats = HybridStats::armed();
-            compute_tile_slots::<S, _>(
-                tile,
-                IterationSpace::Vanilla,
-                false,
-                a,
-                b,
-                mask,
-                &mut acc,
-                &mut hstats,
-                &mut slot_cols[slo..shi],
-                &mut slot_vals[slo..shi],
-                &mut row_nnz[tile.lo..tile.hi],
-            );
-        });
-        match attempt {
-            Ok(()) => {
-                retry.recovered += 1;
-                obs::incr(obs::Counter::DriverRetriedTiles);
-            }
-            Err(retry_msg) => {
-                let first = payloads
-                    .remove(&tile_idx)
-                    .unwrap_or_else(|| "tile output missing".to_string());
-                return Err(SparseError::TileFailed {
-                    tile: tile_idx,
-                    rows: (tile.lo, tile.hi),
-                    detail: format!("parallel: {first}; degraded retry: {retry_msg}"),
-                });
-            }
-        }
-    }
-    if let Some(s) = retry_start {
-        retry.elapsed = s.elapsed();
-    }
-
-    // --- compaction: squeeze the per-row slack, build the final row_ptr ---
-    let (row_ptr, output_nnz) = build_row_ptr(nrows, &core.nonempty, &row_nnz);
-
-    // keep the legacy `fragment-stitch` fault-injection surface: the same
-    // per-tile site fires here even though in-place assembly has no stitch
-    if let Err(msg) = catch_tile_panic(|| {
-        for idx in 0..tiles.len() {
-            failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
-        }
-    }) {
-        return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
-    }
-
-    if output_nnz == bound {
-        // no slack: the slot buffers *are* the output — zero bytes moved.
-        // The adopted buffers leave with the result; the plan keeps only
-        // the (cheap) per-row nnz array and re-allocates slots next run.
-        if let Some(s) = scratch {
-            s.row_nnz = row_nnz;
-            return Ok((
-                Csr::from_parts_unchecked(nrows, ncols, row_ptr, slot_cols, slot_vals),
-                reports,
-                retry,
-            ));
-        }
-        let c = Csr::from_parts_unchecked(nrows, ncols, row_ptr, slot_cols, slot_vals);
-        return Ok((c, reports, retry));
-    }
-
-    let mut out_cols = vec![0 as Idx; output_nnz];
-    let mut out_vals = vec![S::zero(); output_nnz];
-    let entry_bytes = std::mem::size_of::<Idx>() + std::mem::size_of::<S::T>();
-    let parallel =
-        n_threads > 1 && tiles.len() > 1 && output_nnz * entry_bytes >= compact_par_min();
-
-    let mut done = false;
-    if parallel {
-        // per-tile disjoint copies through the persistent pool; tile t's
-        // destination window is [row_ptr[t.lo], row_ptr[t.hi])
-        let dest_ranges: Vec<(usize, usize)> =
-            tiles.iter().map(|t| (row_ptr[t.lo], row_ptr[t.hi])).collect();
-        let copied: Vec<OnceLock<()>> = (0..tiles.len()).map(|_| OnceLock::new()).collect();
-        {
-            let dc = DisjointSlots::new(&mut out_cols, &dest_ranges)
-                .map_err(|detail| SparseError::Internal { detail })?;
-            let dv = DisjointSlots::new(&mut out_vals, &dest_ranges)
-                .map_err(|detail| SparseError::Internal { detail })?;
-            // a lost tile here falls through to the serial redo below; a
-            // pool failure leaves `copied` empty and does the same
-            let _ = exec.pool.run_tiles(
-                n_threads,
-                tiles.len(),
-                Schedule::Dynamic { chunk: 1 },
-                |_t, _ws, tile_idx| {
-                    let (Some(c), Some(v)) = (dc.take(tile_idx), dv.take(tile_idx)) else {
-                        return;
-                    };
-                    let (nlo, nhi) = core.nonempty_ranges[tile_idx];
-                    let bytes = copy_tile_rows::<S>(
-                        tiles[tile_idx],
-                        &core.nonempty[nlo..nhi],
-                        &row_ptr,
-                        &slot_cols,
-                        &slot_vals,
-                        c,
-                        v,
-                    );
-                    obs::add(obs::Counter::DriverCompactionBytes, bytes);
-                    let _ = copied[tile_idx].set(());
-                },
-            );
-        }
-        done = copied.iter().all(|c| c.get().is_some());
-    }
-    if !done {
-        // serial compaction — the small-output default and the fallback
-        // when the parallel pass lost a tile (the redo overwrites every
-        // window, so a partial parallel attempt cannot leak)
-        let res = catch_tile_panic(|| {
-            for (idx, t) in tiles.iter().enumerate() {
-                let (dlo, dhi) = (row_ptr[t.lo], row_ptr[t.hi]);
-                let (nlo, nhi) = core.nonempty_ranges[idx];
-                let bytes = copy_tile_rows::<S>(
-                    *t,
-                    &core.nonempty[nlo..nhi],
-                    &row_ptr,
-                    &slot_cols,
-                    &slot_vals,
-                    &mut out_cols[dlo..dhi],
-                    &mut out_vals[dlo..dhi],
-                );
-                obs::add(obs::Counter::DriverCompactionBytes, bytes);
-            }
-        });
-        if let Err(msg) = res {
-            return Err(SparseError::Internal { detail: format!("stitch: {msg}") });
-        }
-    }
-
-    // hand the slot buffers back to the plan for its next execution
-    if let Some(s) = scratch {
-        s.slot_cols = slot_cols;
-        s.slot_vals = slot_vals;
-        s.row_nnz = row_nnz;
-    }
-    Ok((Csr::from_parts_unchecked(nrows, ncols, row_ptr, out_cols, out_vals), reports, retry))
-}
-
-/// The historical fragment-then-stitch run: schedule tiles, compute
-/// fragments, retry failed tiles serially with the conservative
-/// configuration, stitch. (Keeps no cross-run value scratch — the legacy
-/// path is the bit-identical reference, not the fast path.)
-fn run_legacy<S, A, F>(
-    exec: &ExecutorShared,
-    core: &PlanCore,
-    cancel: Option<&CancelToken>,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    make: F,
-) -> Result<(Csr<S::T>, Vec<ThreadReport>, RetryStats), SparseError>
-where
-    S: Semiring,
-    A: Accumulator<S> + 'static,
-    F: Fn(usize) -> A + Sync,
-{
-    let iteration = core.config.kernel.iteration;
-    let simd = core.simd;
-    // the legacy path is the bit-identical reference: accumulators keep
-    // the hard per-row bound, never the overbooked one
-    let full_cap = core.max_row_entries;
-    let tiles = &core.tiles;
-    let plan_key = core.plan_id;
-    let ncols = b.ncols();
-    let results: Vec<OnceLock<TileResult<S::T>>> =
-        (0..tiles.len()).map(|_| OnceLock::new()).collect();
-    let duplicate: Mutex<Option<usize>> = Mutex::new(None);
-
-    let outcome = exec.pool.run_tiles_cancellable(
-        core.n_threads,
-        tiles.len(),
-        core.config.schedule,
-        cancel,
-        |_t, ws, tile_idx| {
-            failpoint::maybe_fire(failpoint::TILE_KERNEL, tile_idx as u64);
-            if ws.current_tile_abandoned() {
-                // the watchdog handed this tile to the serial retry
-                return;
-            }
-            let acc = ws.get_or_build::<A, _>(plan_key, || make(full_cap));
-            let mut hstats = HybridStats::armed();
-            let frag = compute_fragment::<S, A>(
-                tiles[tile_idx],
-                iteration,
-                simd,
-                a,
-                b,
-                mask,
-                acc,
-                &mut hstats,
-            );
-            if ws.current_tile_abandoned() {
-                return;
-            }
-            if results[tile_idx].set(frag).is_err() {
-                let mut guard = duplicate.lock().unwrap_or_else(|e| e.into_inner());
-                guard.get_or_insert(tile_idx);
-            }
-        },
-    );
-
-    if let Some(tile_idx) = duplicate.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(SparseError::Internal {
-            detail: format!("tile {tile_idx} executed twice"),
-        });
-    }
-
-    let (reports, parallel_failures) = match outcome {
-        Ok(reports) => (reports, Vec::new()),
-        Err(PoolRunError::Tiles(ExecError { failures, reports })) => (reports, failures),
-        Err(PoolRunError::Pool(e)) => return Err(pool_error(e)),
-    };
-
-    // --- degraded serial retry: vanilla kernel + dense u64 accumulator ---
-    let mut payloads: HashMap<usize, String> = HashMap::new();
-    for f in &parallel_failures {
-        payloads.entry(f.tile).or_insert_with(|| f.payload.clone());
-    }
-    let missing: Vec<usize> = (0..tiles.len()).filter(|&i| results[i].get().is_none()).collect();
-    // cancelled runs abandon their partial fragments (see `run_inplace`)
-    if let Some(tok) = cancel {
-        if !missing.is_empty() && tok.is_cancelled() {
-            return Err(if tok.deadline_expired() {
-                SparseError::DeadlineExceeded
-            } else {
-                SparseError::Cancelled
-            });
-        }
-    }
-    let mut retry = RetryStats { failed: missing.len(), ..RetryStats::default() };
-    let retry_start = (retry.failed > 0).then(Instant::now);
-    for tile_idx in missing {
-        let tile = tiles[tile_idx];
-        // The failpoint key used in the parallel body is the tile index,
-        // and the retry deliberately does NOT re-fire `tile-kernel`: the
-        // degraded path is the recovery path, exercised on its own via the
-        // `accum-reset` site.
-        let attempt = catch_tile_panic(|| {
-            let mut acc = DenseAccumulator::<S, u64>::new(ncols);
-            let mut hstats = HybridStats::armed();
-            compute_fragment::<S, _>(
-                tile,
-                IterationSpace::Vanilla,
-                false,
-                a,
-                b,
-                mask,
-                &mut acc,
-                &mut hstats,
-            )
-        });
-        match attempt {
-            Ok(frag) => {
-                let _ = results[tile_idx].set(frag);
-                retry.recovered += 1;
-                obs::incr(obs::Counter::DriverRetriedTiles);
-            }
-            Err(retry_msg) => {
-                let first = payloads
-                    .remove(&tile_idx)
-                    .unwrap_or_else(|| "fragment missing".to_string());
-                return Err(SparseError::TileFailed {
-                    tile: tile_idx,
-                    rows: (tile.lo, tile.hi),
-                    detail: format!("parallel: {first}; degraded retry: {retry_msg}"),
-                });
-            }
-        }
-    }
-    if let Some(s) = retry_start {
-        retry.elapsed = s.elapsed();
-    }
-
-    // --- stitch fragments (tiles are contiguous, in row order) ---
-    match catch_tile_panic(|| stitch::<S>(a.nrows(), ncols, &results)) {
-        Ok(Ok(c)) => Ok((c, reports, retry)),
-        Ok(Err(e)) => Err(e),
-        Err(msg) => Err(SparseError::Internal { detail: format!("stitch: {msg}") }),
-    }
-}
-
-/// Concatenate the per-tile fragments into the output CSR.
-fn stitch<S: Semiring>(
-    nrows: usize,
-    ncols: usize,
-    results: &[OnceLock<TileResult<S::T>>],
-) -> Result<Csr<S::T>, SparseError>
-where
-    S: Semiring,
-{
-    let nnz: usize = results
-        .iter()
-        .map(|r| r.get().map_or(0, |t| t.cols.len()))
-        .sum();
-    let mut row_ptr = Vec::with_capacity(nrows + 1);
-    row_ptr.push(0usize);
-    let mut out_cols = Vec::with_capacity(nnz);
-    let mut out_vals = Vec::with_capacity(nnz);
-    let mut acc_nnz = 0usize;
-    let mut stitched_bytes = 0u64;
-    for (idx, r) in results.iter().enumerate() {
-        failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
-        let Some(t) = r.get() else {
-            return Err(SparseError::Internal {
-                detail: format!("fragment {idx} missing at stitch time"),
-            });
-        };
-        for &rn in &t.row_nnz {
-            acc_nnz += rn as usize;
-            row_ptr.push(acc_nnz);
-        }
-        out_cols.extend_from_slice(&t.cols);
-        out_vals.extend_from_slice(&t.vals);
-        stitched_bytes += (t.cols.len() * std::mem::size_of::<Idx>()
-            + t.vals.len() * std::mem::size_of::<S::T>()) as u64;
-    }
-    obs::add(obs::Counter::DriverCompactionBytes, stitched_bytes);
-    if row_ptr.len() != nrows + 1 {
-        return Err(SparseError::Internal {
-            detail: format!(
-                "stitched row pointers cover {} rows, output has {nrows}",
-                row_ptr.len() - 1
-            ),
-        });
-    }
-    Ok(Csr::from_parts_unchecked(nrows, ncols, row_ptr, out_cols, out_vals))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{KernelPolicy, Overbook, SimdMode};
+    use crate::config::{IterationSpace, KernelPolicy, Overbook, SimdMode};
+    use mspgemm_accum::AccumulatorKind;
     use mspgemm_sched::{Schedule, TilingStrategy};
     use mspgemm_sparse::{Coo, Dense, PlusPair, PlusTimes};
 
@@ -1946,22 +655,19 @@ mod tests {
                         IterationSpace::CoIterate,
                         IterationSpace::Hybrid { kappa: 1.0 },
                     ] {
-                        for assembly in [Assembly::InPlace, Assembly::Legacy] {
-                            v.push(
-                                Config::builder()
-                                    .n_threads(2)
-                                    .n_tiles(7)
-                                    .tiling(tiling)
-                                    .schedule(schedule)
-                                    .kernel_policy(
-                                        KernelPolicy::new()
-                                            .accumulator(accumulator)
-                                            .iteration(iteration),
-                                    )
-                                    .assembly(assembly)
-                                    .build(),
-                            );
-                        }
+                        v.push(
+                            Config::builder()
+                                .n_threads(2)
+                                .n_tiles(7)
+                                .tiling(tiling)
+                                .schedule(schedule)
+                                .kernel_policy(
+                                    KernelPolicy::new()
+                                        .accumulator(accumulator)
+                                        .iteration(iteration),
+                                )
+                                .build(),
+                        );
                     }
                 }
             }
@@ -2153,21 +859,6 @@ mod tests {
                 assert!(stats.overbook_spills >= 1, "expected a spill ({})", it.label());
             }
         }
-    }
-
-    #[test]
-    fn legacy_assembly_ignores_overbooking() {
-        let a = lcg_matrix(30, 30, 5, 33);
-        let mask = skewed_mask(30, 3, 20);
-        let cfg = Config::builder()
-            .n_threads(2)
-            .assembly(Assembly::Legacy)
-            .kernel_policy(KernelPolicy::new().overbook(Overbook::p99()))
-            .build();
-        let want = Dense::masked_matmul::<PlusTimes, f64>(&a, &a, &mask);
-        let (got, stats) = spgemm::<PlusTimes>(&a, &a, &mask, &cfg).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(stats.overbook_spills, 0, "legacy keeps the hard bound");
     }
 
     #[test]

@@ -66,27 +66,26 @@
 //! assert!(outs[0].nnz() > 0); // the triangle 0-1-2 survives
 //! ```
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use crate::config::{Config, IterationSpace};
-use crate::driver::{build_row_ptr, copy_tile_rows, pool_error, run_row, RunStats};
-use crate::executor::{Executor, ExecutorShared};
-use crate::kernels::{HybridStats, RowRead};
-use crate::plan::{next_plan_id, structure_hash, Pin};
-use mspgemm_accum::{
-    Accumulator, AccumulatorKind, DenseAccumulator, FusedOp, FusedSink, FusedStage,
-    HashAccumulator, MarkerWidth, SlotSink, SortAccumulator,
+use crate::driver::RunStats;
+use crate::engine::{
+    compact, compute_tile, dispatch, recover, tile_outcome, AccVisitor, RowKernel, SlotBufs,
+    SlotLayout, TileAcc, TileLedger, TileSlots, TileWindow,
 };
+use crate::executor::{Executor, ExecutorShared};
+use crate::plan::{next_plan_id, resolve_simd, structure_hash, Pin};
+use mspgemm_accum::{Accumulator, DenseAccumulator, FusedOp, FusedStage};
 use mspgemm_rt::{failpoint, obs};
 use mspgemm_sched::{
     catch_tile_panic,
     tile::tiles_for,
     work::{row_work, total_work},
-    DisjointSlots, ExecError, PoolRunError, ThreadReport, Tile,
+    PoolRunError, ThreadReport, Tile,
 };
-use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
+use mspgemm_sparse::{Csr, Semiring, SparseError};
 
 /// Handle to one external input of a graph under construction. Positional:
 /// the `n`-th call to [`GraphBuilder::input`] names `inputs[n]` at
@@ -331,12 +330,6 @@ where
         // --- work estimation + shared tiling + per-node slot layout ---
         // Contained like the plan prologue: a pathological input (or the
         // `work-estimate` failpoint) loses the build, not the process.
-        struct Layout {
-            slot_ranges: Vec<(usize, usize)>,
-            nonempty: Vec<(Idx, usize)>,
-            nonempty_ranges: Vec<(usize, usize)>,
-            bound: usize,
-        }
         let prologue = catch_tile_panic(|| {
             let mut summed = vec![0u64; nrows];
             let mut caps = Vec::with_capacity(nodes.len());
@@ -381,30 +374,8 @@ where
             }
             let estimated_work = total_work(&summed);
             let tiles = tiles_for(config.tiling, nrows, &summed, n_tiles);
-            let layouts: Vec<Layout> = nodes
-                .iter()
-                .map(|node| {
-                    let mask = inputs[node.mask];
-                    let mut slot_ranges = Vec::with_capacity(tiles.len());
-                    let mut nonempty = Vec::new();
-                    let mut nonempty_ranges = Vec::with_capacity(tiles.len());
-                    let mut bound = 0usize;
-                    for t in &tiles {
-                        let lo = bound;
-                        let ne_lo = nonempty.len();
-                        for i in t.rows() {
-                            let rn = mask.row_nnz(i);
-                            if rn > 0 {
-                                nonempty.push((i as Idx, bound));
-                            }
-                            bound += rn;
-                        }
-                        slot_ranges.push((lo, bound));
-                        nonempty_ranges.push((ne_lo, nonempty.len()));
-                    }
-                    Layout { slot_ranges, nonempty, nonempty_ranges, bound }
-                })
-                .collect();
+            let layouts: Vec<SlotLayout> =
+                nodes.iter().map(|node| SlotLayout::new(&tiles, inputs[node.mask])).collect();
             (estimated_work, tiles, layouts, caps)
         });
         let (estimated_work, tiles, layouts, caps) = match prologue {
@@ -454,16 +425,15 @@ where
                 post: decl.post,
                 output: decl.output,
                 ncols,
-                slot_ranges: layout.slot_ranges,
-                nonempty: layout.nonempty,
-                nonempty_ranges: layout.nonempty_ranges,
-                bound: layout.bound,
+                layout,
             })
             .collect();
 
         let max_ncols = frozen.iter().map(|n| n.ncols).max().unwrap_or(1).max(1);
         let max_row_entries = caps.into_iter().max().unwrap_or(1).max(1);
         let row_ranges = tiles.iter().map(|t| (t.lo, t.hi)).collect();
+        // one SIMD resolution, shared with single-product plans
+        let (simd, simd_probe) = resolve_simd(config.kernel.simd);
         obs::incr(obs::Counter::ExecPlanBuilds);
         Ok(PlanGraph {
             core: GraphCore {
@@ -475,6 +445,8 @@ where
                 nodes: frozen,
                 max_row_entries,
                 max_ncols,
+                simd,
+                simd_probe,
                 estimated_work,
                 graph_id: next_plan_id(),
             },
@@ -501,14 +473,8 @@ struct NodePlan<T> {
     output: bool,
     /// Output column count (`B.ncols`).
     ncols: usize,
-    /// Per-tile `[lo, hi)` windows of this node's slot buffers.
-    slot_ranges: Vec<(usize, usize)>,
-    /// This node's nonempty mask rows as `(row, absolute slot offset)`.
-    nonempty: Vec<(Idx, usize)>,
-    /// Per-tile `[lo, hi)` ranges into `nonempty`.
-    nonempty_ranges: Vec<(usize, usize)>,
-    /// Total slot capacity: `nnz(mask)`.
-    bound: usize,
+    /// This node's mask-bound slot layout over the shared tiles.
+    layout: SlotLayout,
 }
 
 /// The frozen symbolic phase of a whole graph.
@@ -524,26 +490,14 @@ struct GraphCore<T> {
     max_row_entries: usize,
     /// Dense-accumulator column bound, max over nodes.
     max_ncols: usize,
+    /// SIMD co-iteration search / hash group probe in effect, resolved
+    /// exactly like a single-product plan's.
+    simd: bool,
+    simd_probe: bool,
     estimated_work: u64,
     /// Keys the workers' cross-run accumulator scratch; drawn from the
     /// same sequence as single-product plan ids.
     graph_id: u64,
-}
-
-/// Cross-execution slot buffers for one node (the graph analogue of
-/// `PlanScratch`): resized without zeroing on reuse — the mask fingerprint
-/// pins each node's row layout, so a row empty now was empty (and zero)
-/// on every earlier run.
-struct NodeBufs<S: Semiring> {
-    cols: Vec<Idx>,
-    vals: Vec<S::T>,
-    nnz: Vec<u32>,
-}
-
-impl<S: Semiring> Default for NodeBufs<S> {
-    fn default() -> Self {
-        NodeBufs { cols: Vec::new(), vals: Vec::new(), nnz: Vec::new() }
-    }
 }
 
 /// A frozen, reusable multi-op plan graph. Build with
@@ -553,7 +507,9 @@ impl<S: Semiring> Default for NodeBufs<S> {
 pub struct PlanGraph<S: Semiring> {
     core: GraphCore<S::T>,
     ext_fps: Vec<ExtFingerprint>,
-    scratch: Vec<NodeBufs<S>>,
+    /// Per-node slot buffers, kept across executions (the mask
+    /// fingerprint pins each node's row layout).
+    scratch: Vec<SlotBufs<S::T>>,
     exec: Arc<ExecutorShared>,
 }
 
@@ -602,6 +558,13 @@ where
     /// Execute the whole graph in one pool run and materialise the
     /// marked output nodes (in node order). Bit-identical to running the
     /// unfused pipeline node by node.
+    ///
+    /// The engine's three steps, chained per tile: every node of a tile
+    /// runs on the same worker, reading its predecessor's rows from the
+    /// slot window that worker just wrote; a lost tile is recomputed
+    /// **node by node in chain order** by the degraded retry, so a
+    /// retried node's successors are rebuilt from its recovered output;
+    /// each output node is then compacted serially.
     pub fn execute(
         &mut self,
         inputs: &[&Csr<S::T>],
@@ -611,68 +574,65 @@ where
         let setup = setup_start.elapsed();
 
         let _guard = self.exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let metrics_on = obs::armed();
-        let before = metrics_on.then(obs::snapshot);
+        let before = obs::armed().then(obs::snapshot);
         obs::incr(obs::Counter::DriverRuns);
         obs::incr(obs::Counter::ExecPlanExecutes);
-        let n_post: usize = self.core.nodes.iter().map(|n| n.post.len()).sum();
-        obs::add(obs::Counter::FusionOpsFused, (self.core.nodes.len() + n_post) as u64);
+        let core = &self.core;
+        let n_post: usize = core.nodes.iter().map(|n| n.post.len()).sum();
+        obs::add(obs::Counter::FusionOpsFused, (core.nodes.len() + n_post) as u64);
 
         let start = Instant::now();
-        let (outputs, reports, retried, retry_elapsed) =
-            dispatch::<S>(&self.exec, &self.core, &mut self.scratch, inputs)?;
-        let elapsed = start.elapsed().saturating_sub(retry_elapsed);
-
-        let stats = RunStats {
-            elapsed,
-            setup,
-            retry_elapsed,
-            thread_reports: reports,
-            estimated_work: self.core.estimated_work,
-            output_nnz: outputs.iter().map(|c| c.nnz()).sum(),
-            n_tiles: self.core.tiles.len(),
-            n_threads: self.core.n_threads,
-            retried_tiles: retried,
-            failed_tiles: retried,
-            // the fused graph path sizes every accumulator at the hard
-            // bound (see `dispatch_metered`): it never overbooks, so it
-            // can never spill
-            overbook_spills: 0,
-            metrics: before.map(|b| obs::snapshot().delta_since(&b)),
-        };
-        Ok((outputs, stats))
-    }
-}
-
-/// Read-only row access into a predecessor node's slot window for one
-/// tile: resolves row `i` through the node's `(row, slot offset)` list
-/// and its per-row nnz counts. This is how node `j+1` consumes node `j`'s
-/// output without the intermediate ever being materialised.
-struct SlotView<'v, T> {
-    /// The predecessor's nonempty rows for this tile (absolute offsets).
-    nonempty: &'v [(Idx, usize)],
-    /// Start of the predecessor's slot window for this tile.
-    slot_lo: usize,
-    /// First row of the tile (`nnz` is indexed `i - tile_lo`).
-    tile_lo: usize,
-    cols: &'v [Idx],
-    vals: &'v [T],
-    nnz: &'v [u32],
-}
-
-impl<T: Copy> RowRead<T> for SlotView<'_, T> {
-    #[inline]
-    fn row(&self, i: usize) -> (&[Idx], &[T]) {
-        match self.nonempty.binary_search_by_key(&(i as Idx), |&(r, _)| r) {
-            Ok(p) => {
-                let (_, src) = self.nonempty[p];
-                let base = src - self.slot_lo;
-                let n = self.nnz[i - self.tile_lo] as usize;
-                (&self.cols[base..base + n], &self.vals[base..base + n])
-            }
-            // an empty mask row holds no slots and no output
-            Err(_) => (&[], &[]),
+        let bufs = &mut self.scratch;
+        if bufs.len() != core.nodes.len() {
+            bufs.clear();
+            bufs.resize_with(core.nodes.len(), SlotBufs::default);
         }
+        for (nb, node) in bufs.iter_mut().zip(&core.nodes) {
+            nb.resize(node.layout.bound, core.nrows, S::zero());
+        }
+        let ledger = TileLedger::new(core.tiles.len());
+        let outcome = {
+            let slots = bufs
+                .iter_mut()
+                .zip(&core.nodes)
+                .map(|(nb, node)| TileSlots::new(nb, &node.layout, &core.tiles, &core.row_ranges))
+                .collect::<Result<Vec<_>, _>>()?;
+            let run = GraphRun { exec: &self.exec, core, inputs, slots: &slots, ledger: &ledger };
+            dispatch::<S, _>(
+                core.config.kernel.accumulator,
+                core.simd_probe,
+                core.max_ncols,
+                core.max_row_entries,
+                run,
+            )
+        };
+        let (reports, failures) = tile_outcome(outcome)?;
+        let retry = recover(&core.tiles, ledger, &failures, None, |t| {
+            let mut windows: Vec<TileWindow<'_, S::T>> = bufs
+                .iter_mut()
+                .zip(&core.nodes)
+                .map(|(nb, node)| node.layout.window(&core.tiles, t, nb))
+                .collect();
+            let mut ta = TileAcc::new(DenseAccumulator::<S, u64>::new(core.max_ncols));
+            let make_full = || DenseAccumulator::<S, u64>::new(core.max_ncols);
+            run_chain(core, inputs, &mut windows, RowKernel::RETRY, &mut ta, &make_full);
+        })?;
+
+        let mut outputs = Vec::new();
+        for (node, nb) in core.nodes.iter().zip(bufs.iter_mut()) {
+            if node.output {
+                let slots = std::mem::take(nb);
+                let shape = (core.nrows, node.ncols);
+                let out = compact::<S>(&core.tiles, &node.layout, shape, slots, None, Some(nb))?;
+                outputs.push(out);
+            }
+        }
+        let output_nnz = outputs.iter().map(|c| c.nnz()).sum();
+        let metrics = before.map(|b| obs::snapshot().delta_since(&b));
+        let work = (core.estimated_work, core.tiles.len(), core.n_threads);
+        let stats =
+            RunStats::new(start.elapsed(), setup, retry, reports, output_nnz, work, metrics);
+        Ok((outputs, stats))
     }
 }
 
@@ -695,419 +655,91 @@ fn build_stages<'p, T: Copy + PartialOrd>(
         .collect()
 }
 
-/// Compute one node's rows of one tile into its slot window, with the
-/// node's fused post-op chain applied in the gather. Returns the fused
-/// element count (the `fusion.sink_fused_elements` quantity).
-#[allow(clippy::too_many_arguments)]
-fn compute_node_tile<S, A, R>(
-    tile: Tile,
-    nonempty: &[(Idx, usize)],
-    slot_lo: usize,
-    iteration: IterationSpace,
-    simd: bool,
-    a: &R,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
-    stages: &mut [FusedStage<'_, S::T>],
-    acc: &mut A,
-    hstats: &mut HybridStats,
-    slot_cols: &mut [Idx],
-    slot_vals: &mut [S::T],
-    row_nnz: &mut [u32],
-) -> u64
-where
+/// Run every node of one tile in chain order, each into its window of
+/// `windows` with its fused post-ops applied in the gather. A node whose
+/// `A` is an earlier node reads that node's window — written moments ago
+/// by this same call, so cache-resident. The chaining is sound because an
+/// output row `i` reads only row `i` of `A`, and every node shares the
+/// row partition.
+fn run_chain<S, A, G>(
+    core: &GraphCore<S::T>,
+    inputs: &[&Csr<S::T>],
+    windows: &mut [TileWindow<'_, S::T>],
+    k: RowKernel,
+    ta: &mut TileAcc<S, A>,
+    make_full: &G,
+) where
     S: Semiring,
     S::T: PartialOrd,
     A: Accumulator<S>,
-    R: RowRead<S::T> + ?Sized,
+    G: Fn() -> A,
 {
-    let mut tile_nnz = 0u64;
-    let mut fused = 0u64;
-    for &(i, src) in nonempty {
-        let i = i as usize;
-        let (mask_cols, _) = mask.row(i);
-        let w = mask_cols.len();
-        let base = src - slot_lo;
-        let mut inner =
-            SlotSink::new(&mut slot_cols[base..base + w], &mut slot_vals[base..base + w]);
-        {
-            let mut sink = FusedSink::new(&mut *stages, &mut inner);
-            sink.begin_row(i);
-            run_row::<S, A, _, _>(i, iteration, simd, a, b, mask_cols, acc, hstats, &mut sink);
-            fused += sink.fused_elements();
-        }
-        let n = inner.written();
-        row_nnz[i - tile.lo] = n as u32;
-        tile_nnz += n as u64;
+    for (ni, node) in core.nodes.iter().enumerate() {
+        let (done, rest) = windows.split_at_mut(ni);
+        let Some(w) = rest.first_mut() else { return };
+        let (b, mask) = (inputs[node.b], inputs[node.mask]);
+        let mut stages = build_stages(&node.post, inputs);
+        match node.a {
+            OperandRef::Ext(e) => {
+                compute_tile(w, k, inputs[e], b, mask, &mut stages, ta, make_full)
+            }
+            OperandRef::Node(j) => {
+                compute_tile(w, k, &done[j], b, mask, &mut stages, ta, make_full)
+            }
+        };
     }
-    acc.flush_metrics();
-    hstats.flush();
-    obs::add(obs::Counter::DriverTileOutputNnz, tile_nnz);
-    fused
 }
 
-/// Monomorphise on the configured accumulator and metering state, exactly
-/// like the single-product driver.
-fn dispatch<S: Semiring>(
-    exec: &ExecutorShared,
-    core: &GraphCore<S::T>,
-    bufs: &mut Vec<NodeBufs<S>>,
-    inputs: &[&Csr<S::T>],
-) -> Result<(Vec<Csr<S::T>>, Vec<ThreadReport>, usize, Duration), SparseError>
+/// The graph's parallel phase: one pool pass chaining every node per
+/// tile. One worker-persistent accumulator serves the whole chain (keyed
+/// by graph identity, so it survives across runs), sized at the widest
+/// node's hard bound — which is also the overbook limit handed to the
+/// row loop, so the graph path never spills.
+struct GraphRun<'g, S: Semiring> {
+    exec: &'g ExecutorShared,
+    core: &'g GraphCore<S::T>,
+    inputs: &'g [&'g Csr<S::T>],
+    slots: &'g [TileSlots<'g, S::T>],
+    ledger: &'g TileLedger,
+}
+
+impl<S: Semiring> AccVisitor<S> for GraphRun<'_, S>
 where
     S::T: PartialOrd,
 {
-    if obs::armed() {
-        dispatch_metered::<S, true>(exec, core, bufs, inputs)
-    } else {
-        dispatch_metered::<S, false>(exec, core, bufs, inputs)
-    }
-}
+    type Out = Result<Vec<ThreadReport>, PoolRunError>;
 
-fn dispatch_metered<S: Semiring, const METER: bool>(
-    exec: &ExecutorShared,
-    core: &GraphCore<S::T>,
-    bufs: &mut Vec<NodeBufs<S>>,
-    inputs: &[&Csr<S::T>],
-) -> Result<(Vec<Csr<S::T>>, Vec<ThreadReport>, usize, Duration), SparseError>
-where
-    S::T: PartialOrd,
-{
-    // One accumulator per worker serves the whole chain: it is sized for
-    // the widest node (larger-than-needed capacity changes nothing — all
-    // kernels fold each row's products in the same `k` order regardless).
-    let ncols = core.max_ncols;
-    let cap = core.max_row_entries;
-    match core.config.kernel.accumulator {
-        AccumulatorKind::Dense(w) => match w {
-            MarkerWidth::W8 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                DenseAccumulator::<S, u8, METER>::new(ncols)
-            }),
-            MarkerWidth::W16 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                DenseAccumulator::<S, u16, METER>::new(ncols)
-            }),
-            MarkerWidth::W32 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                DenseAccumulator::<S, u32, METER>::new(ncols)
-            }),
-            MarkerWidth::W64 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                DenseAccumulator::<S, u64, METER>::new(ncols)
-            }),
-        },
-        AccumulatorKind::Hash(w) => match w {
-            MarkerWidth::W8 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                HashAccumulator::<S, u8, METER>::with_row_capacity(cap)
-            }),
-            MarkerWidth::W16 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                HashAccumulator::<S, u16, METER>::with_row_capacity(cap)
-            }),
-            MarkerWidth::W32 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                HashAccumulator::<S, u32, METER>::with_row_capacity(cap)
-            }),
-            MarkerWidth::W64 => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-                HashAccumulator::<S, u64, METER>::with_row_capacity(cap)
-            }),
-        },
-        AccumulatorKind::Sort => run_graph::<S, _, _>(exec, core, bufs, inputs, || {
-            SortAccumulator::<S>::new(cap)
-        }),
-    }
-}
-
-/// A claimed per-node tile window, kept so successor nodes can read it.
-struct ClaimedTile<'a, T> {
-    cols: &'a mut [Idx],
-    vals: &'a mut [T],
-    nnz: &'a mut [u32],
-}
-
-/// The monomorphic graph run: one pool pass chaining every node per tile,
-/// whole-chain degraded retry for missing tiles, output materialisation.
-fn run_graph<S, A, F>(
-    exec: &ExecutorShared,
-    core: &GraphCore<S::T>,
-    bufs: &mut Vec<NodeBufs<S>>,
-    inputs: &[&Csr<S::T>],
-    make_acc: F,
-) -> Result<(Vec<Csr<S::T>>, Vec<ThreadReport>, usize, Duration), SparseError>
-where
-    S: Semiring,
-    S::T: PartialOrd,
-    A: Accumulator<S> + 'static,
-    F: Fn() -> A + Sync,
-{
-    let iteration = core.config.kernel.iteration;
-    // resolved like the plan prologue: `Scalar` forces the portable
-    // kernels, everything else defers to the runtime CPU probe
-    let simd = match core.config.kernel.simd {
-        crate::config::SimdMode::Scalar => false,
-        _ => crate::simd::simd_available(),
-    };
-    let schedule = core.config.schedule;
-    let n_nodes = core.nodes.len();
-    let n_tiles = core.tiles.len();
-
-    // adopt (or create) the per-node slot buffers; resize without zeroing
-    if bufs.len() != n_nodes {
-        bufs.clear();
-        bufs.resize_with(n_nodes, NodeBufs::default);
-    }
-    for (nb, node) in bufs.iter_mut().zip(&core.nodes) {
-        nb.cols.resize(node.bound, 0 as Idx);
-        nb.vals.resize(node.bound, S::zero());
-        nb.nnz.resize(core.nrows, 0u32);
-    }
-
-    let completed: Vec<OnceLock<()>> = (0..n_tiles).map(|_| OnceLock::new()).collect();
-    let duplicate: Mutex<Option<usize>> = Mutex::new(None);
-
-    let outcome = {
-        let mut col_slots = Vec::with_capacity(n_nodes);
-        let mut val_slots = Vec::with_capacity(n_nodes);
-        let mut nnz_slots = Vec::with_capacity(n_nodes);
-        for (nb, node) in bufs.iter_mut().zip(&core.nodes) {
-            col_slots.push(
-                DisjointSlots::new(&mut nb.cols, &node.slot_ranges)
-                    .map_err(|detail| SparseError::Internal { detail })?,
-            );
-            val_slots.push(
-                DisjointSlots::new(&mut nb.vals, &node.slot_ranges)
-                    .map_err(|detail| SparseError::Internal { detail })?,
-            );
-            nnz_slots.push(
-                DisjointSlots::new(&mut nb.nnz, &core.row_ranges)
-                    .map_err(|detail| SparseError::Internal { detail })?,
-            );
-        }
-        exec.pool.run_tiles(core.n_threads, n_tiles, schedule, |_t, ws, tile_idx| {
+    fn visit<A, F>(self, make: F) -> Self::Out
+    where
+        A: Accumulator<S> + 'static,
+        F: Fn(usize) -> A + Copy + Send + Sync + 'static,
+    {
+        let core = self.core;
+        let (n_nodes, n_tiles, full) = (core.nodes.len(), core.tiles.len(), core.max_row_entries);
+        let k = RowKernel {
+            iteration: core.config.kernel.iteration,
+            simd: core.simd,
+            overbook_limit: full,
+        };
+        self.exec.pool.run_tiles(core.n_threads, n_tiles, core.config.schedule, |_, ws, t| {
             if ws.current_tile_abandoned() {
                 return;
             }
-            let tile = core.tiles[tile_idx];
-            // one worker-persistent accumulator serves every node of the
-            // chain (keyed by graph identity; survives across runs)
-            let acc = ws.get_or_build::<A, _>(core.graph_id, || make_acc());
-            let mut claimed: Vec<ClaimedTile<'_, S::T>> = Vec::with_capacity(n_nodes);
-            let mut fused_total = 0u64;
-            for (ni, node) in core.nodes.iter().enumerate() {
+            let mut windows = Vec::with_capacity(n_nodes);
+            for (ni, slots) in self.slots.iter().enumerate() {
                 // decorrelate per-node failures under fault injection
-                failpoint::maybe_fire(failpoint::TILE_KERNEL, (ni * n_tiles + tile_idx) as u64);
-                let (Some(sc), Some(sv), Some(rn)) = (
-                    col_slots[ni].take(tile_idx),
-                    val_slots[ni].take(tile_idx),
-                    nnz_slots[ni].take(tile_idx),
-                ) else {
-                    let mut guard = duplicate.lock().unwrap_or_else(|e| e.into_inner());
-                    guard.get_or_insert(tile_idx);
-                    return;
-                };
-                let mut hstats = HybridStats::armed();
-                let (nlo, nhi) = node.nonempty_ranges[tile_idx];
-                let ne = &node.nonempty[nlo..nhi];
-                let slot_lo = node.slot_ranges[tile_idx].0;
-                let b = inputs[node.b];
-                let mask = inputs[node.mask];
-                let mut stages = build_stages(&node.post, inputs);
-                let fused = match node.a {
-                    OperandRef::Ext(e) => compute_node_tile::<S, A, _>(
-                        tile, ne, slot_lo, iteration, simd, inputs[e], b, mask, &mut stages,
-                        acc, &mut hstats, &mut sc[..], &mut sv[..], &mut rn[..],
-                    ),
-                    OperandRef::Node(j) => {
-                        // the predecessor's rows for this tile were just
-                        // written by this same worker — cache-resident
-                        let prev = &claimed[j];
-                        let p = &core.nodes[j];
-                        let (pnlo, pnhi) = p.nonempty_ranges[tile_idx];
-                        let view = SlotView {
-                            nonempty: &p.nonempty[pnlo..pnhi],
-                            slot_lo: p.slot_ranges[tile_idx].0,
-                            tile_lo: tile.lo,
-                            cols: &prev.cols[..],
-                            vals: &prev.vals[..],
-                            nnz: &prev.nnz[..],
-                        };
-                        compute_node_tile::<S, A, _>(
-                            tile, ne, slot_lo, iteration, simd, &view, b, mask, &mut stages,
-                            acc, &mut hstats, &mut sc[..], &mut sv[..], &mut rn[..],
-                        )
-                    }
-                };
-                fused_total += fused;
-                claimed.push(ClaimedTile { cols: sc, vals: sv, nnz: rn });
+                failpoint::maybe_fire(failpoint::TILE_KERNEL, (ni * n_tiles + t) as u64);
+                let Some(w) = slots.claim(t, self.ledger) else { return };
+                windows.push(w);
             }
-            obs::add(obs::Counter::FusionSinkFusedElems, fused_total);
+            let ta = ws.get_or_build(core.graph_id, || TileAcc::new(make(full)));
+            run_chain(core, self.inputs, &mut windows, k, ta, &|| make(full));
             if n_nodes > 1 {
                 obs::add(obs::Counter::FusionTilesChained, (n_nodes - 1) as u64);
             }
-            if !ws.current_tile_abandoned() {
-                let _ = completed[tile_idx].set(());
-            }
+            self.ledger.finish(ws, t, 0);
         })
-    };
-
-    if let Some(tile_idx) = duplicate.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(SparseError::Internal {
-            detail: format!("graph tile {tile_idx} executed twice"),
-        });
     }
-
-    let (reports, parallel_failures) = match outcome {
-        Ok(reports) => (reports, Vec::new()),
-        Err(PoolRunError::Tiles(ExecError { failures, reports })) => (reports, failures),
-        Err(PoolRunError::Pool(e)) => return Err(pool_error(e)),
-    };
-
-    // --- degraded serial retry: recompute EVERY node of a missing tile,
-    // in chain order, with the conservative configuration. A successor is
-    // rebuilt from its predecessor's recovered slots, so a mid-chain
-    // panic can never poison downstream nodes. Bit-identical for the same
-    // reason the single-product retry is. ---
-    let mut payloads: HashMap<usize, String> = HashMap::new();
-    for f in &parallel_failures {
-        payloads.entry(f.tile).or_insert_with(|| f.payload.clone());
-    }
-    let missing: Vec<usize> = (0..n_tiles).filter(|&i| completed[i].get().is_none()).collect();
-    let mut retried = 0usize;
-    let retry_start = (!missing.is_empty()).then(Instant::now);
-    for tile_idx in missing {
-        let tile = core.tiles[tile_idx];
-        // like the driver's retry, this path does NOT re-fire the
-        // `tile-kernel` failpoint: it is the recovery path
-        let attempt = catch_tile_panic(|| {
-            let mut acc = DenseAccumulator::<S, u64>::new(core.max_ncols);
-            for ni in 0..n_nodes {
-                let (before_bufs, rest) = bufs.split_at_mut(ni);
-                let Some(cur) = rest.first_mut() else {
-                    continue;
-                };
-                let node = &core.nodes[ni];
-                let (slo, shi) = node.slot_ranges[tile_idx];
-                let (nlo, nhi) = node.nonempty_ranges[tile_idx];
-                let ne = &node.nonempty[nlo..nhi];
-                let b = inputs[node.b];
-                let mask = inputs[node.mask];
-                let mut stages = build_stages(&node.post, inputs);
-                let mut hstats = HybridStats::armed();
-                match node.a {
-                    OperandRef::Ext(e) => {
-                        compute_node_tile::<S, _, _>(
-                            tile,
-                            ne,
-                            slo,
-                            IterationSpace::Vanilla,
-                            false,
-                            inputs[e],
-                            b,
-                            mask,
-                            &mut stages,
-                            &mut acc,
-                            &mut hstats,
-                            &mut cur.cols[slo..shi],
-                            &mut cur.vals[slo..shi],
-                            &mut cur.nnz[tile.lo..tile.hi],
-                        );
-                    }
-                    OperandRef::Node(j) => {
-                        let p = &core.nodes[j];
-                        let (pslo, pshi) = p.slot_ranges[tile_idx];
-                        let (pnlo, pnhi) = p.nonempty_ranges[tile_idx];
-                        let pb = &before_bufs[j];
-                        let view = SlotView {
-                            nonempty: &p.nonempty[pnlo..pnhi],
-                            slot_lo: pslo,
-                            tile_lo: tile.lo,
-                            cols: &pb.cols[pslo..pshi],
-                            vals: &pb.vals[pslo..pshi],
-                            nnz: &pb.nnz[tile.lo..tile.hi],
-                        };
-                        compute_node_tile::<S, _, _>(
-                            tile,
-                            ne,
-                            slo,
-                            IterationSpace::Vanilla,
-                            false,
-                            &view,
-                            b,
-                            mask,
-                            &mut stages,
-                            &mut acc,
-                            &mut hstats,
-                            &mut cur.cols[slo..shi],
-                            &mut cur.vals[slo..shi],
-                            &mut cur.nnz[tile.lo..tile.hi],
-                        );
-                    }
-                }
-            }
-        });
-        match attempt {
-            Ok(()) => {
-                retried += 1;
-                obs::incr(obs::Counter::DriverRetriedTiles);
-            }
-            Err(retry_msg) => {
-                let first = payloads
-                    .remove(&tile_idx)
-                    .unwrap_or_else(|| "tile output missing".to_string());
-                return Err(SparseError::TileFailed {
-                    tile: tile_idx,
-                    rows: (tile.lo, tile.hi),
-                    detail: format!("parallel: {first}; degraded chain retry: {retry_msg}"),
-                });
-            }
-        }
-    }
-    let retry_elapsed = retry_start.map(|s| s.elapsed()).unwrap_or_default();
-
-    // keep the `fragment-stitch` fault-injection surface alive on the
-    // graph path too
-    if let Err(msg) = catch_tile_panic(|| {
-        for idx in 0..n_tiles {
-            failpoint::maybe_fire(failpoint::FRAGMENT_STITCH, idx as u64);
-        }
-    }) {
-        return Err(SparseError::Internal { detail: format!("graph stitch: {msg}") });
-    }
-
-    // --- materialise the output nodes (serial compaction) ---
-    let mut outputs = Vec::new();
-    for (ni, node) in core.nodes.iter().enumerate() {
-        if !node.output {
-            continue;
-        }
-        let nb = &bufs[ni];
-        let (row_ptr, output_nnz) = build_row_ptr(core.nrows, &node.nonempty, &nb.nnz);
-        let mut out_cols = vec![0 as Idx; output_nnz];
-        let mut out_vals = vec![S::zero(); output_nnz];
-        let res = catch_tile_panic(|| {
-            for (idx, t) in core.tiles.iter().enumerate() {
-                let (dlo, dhi) = (row_ptr[t.lo], row_ptr[t.hi]);
-                let (nlo, nhi) = node.nonempty_ranges[idx];
-                let bytes = copy_tile_rows::<S>(
-                    *t,
-                    &node.nonempty[nlo..nhi],
-                    &row_ptr,
-                    &nb.cols,
-                    &nb.vals,
-                    &mut out_cols[dlo..dhi],
-                    &mut out_vals[dlo..dhi],
-                );
-                obs::add(obs::Counter::DriverCompactionBytes, bytes);
-            }
-        });
-        if let Err(msg) = res {
-            return Err(SparseError::Internal { detail: format!("graph stitch: {msg}") });
-        }
-        obs::add(obs::Counter::DriverSlackNnz, (node.bound - output_nnz) as u64);
-        outputs.push(Csr::from_parts_unchecked(
-            core.nrows,
-            node.ncols,
-            row_ptr,
-            out_cols,
-            out_vals,
-        ));
-    }
-    Ok((outputs, reports, retried, retry_elapsed))
 }
 
 #[cfg(test)]

@@ -3,8 +3,7 @@
 //!
 //! Every call to the driver pays a *symbolic* phase before any arithmetic
 //! happens: resolve the [`Config`], estimate per-row work with Eq. 2, cut
-//! the rows into tiles, and (for in-place assembly) lay out the mask-bound
-//! output slots. None of that depends on the matrices' *values* — only on
+//! the rows into tiles, and lay out the mask-bound output slots. None of that depends on the matrices' *values* — only on
 //! their sparsity structure. A [`Plan`] freezes the symbolic phase so an
 //! iterated workload pays it once:
 //!
@@ -48,6 +47,7 @@ use std::time::Instant;
 
 use crate::config::{Config, IterationSpace, Overbook, SimdMode};
 use crate::driver::{run_plan, RunStats};
+use crate::engine::{SlotBufs, SlotLayout};
 use crate::executor::ExecutorShared;
 use mspgemm_accum::AccumulatorKind;
 use mspgemm_rt::obs;
@@ -57,7 +57,7 @@ use mspgemm_sched::{
     work::{row_work, total_work},
     CancelToken, Tile,
 };
-use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
+use mspgemm_sparse::{Csr, Semiring, SparseError};
 
 /// Monotonic plan identities; nonzero so a fresh id never collides with a
 /// worker's default scratch key.
@@ -78,13 +78,11 @@ pub(crate) struct PlanCore {
     pub(crate) n_threads: usize,
     /// Row tiles (uniform or FLOP-balanced over the Eq. 2 estimates).
     pub(crate) tiles: Vec<Tile>,
-    /// Per-tile `[lo, hi)` windows of the mask-bound slot buffers.
-    pub(crate) slot_ranges: Vec<(usize, usize)>,
     /// Per-tile `[lo, hi)` row windows (mirrors `tiles`, in tuple form
     /// for `DisjointSlots`).
     pub(crate) row_ranges: Vec<(usize, usize)>,
-    /// Total slot capacity: `nnz(M)`.
-    pub(crate) bound: usize,
+    /// The mask-bound output slot layout over `tiles`.
+    pub(crate) layout: SlotLayout,
     /// Total Eq. 2 work estimate.
     pub(crate) estimated_work: u64,
     /// Accumulator sizing bound (see the driver's prologue docs).
@@ -96,27 +94,31 @@ pub(crate) struct PlanCore {
     /// and is then recomputed at `max_row_entries` (the spill path).
     pub(crate) overbook_row_entries: usize,
     /// Whether the SIMD co-iteration search is in effect for this plan
-    /// (`SimdMode` resolved against the CPU at plan time).
+    /// (see [`resolve_simd`]).
     pub(crate) simd: bool,
-    /// Whether the AVX2 group probe instantiation of the hash accumulator
-    /// is in effect. `Auto` resolves this to `false`: slack-sized tables
-    /// (see `hash_slack`) keep probe chains within the scalar fast path,
-    /// so the group probe's setup cost never pays for itself there. Only
-    /// `SimdMode::Force` (plus CPU support) turns it on.
+    /// Whether the AVX2 group probe hash accumulator is in effect (see
+    /// [`resolve_simd`]).
     pub(crate) simd_probe: bool,
-    /// Rows with at least one mask entry, as `(row, slot offset)` pairs —
-    /// the offset is absolute into the mask-bound slot buffers (the slot
-    /// layout is a prefix sum over mask row lengths, so it is a plan-time
-    /// constant). The settle paths iterate these instead of every row:
-    /// frontier-style masks leave most rows empty, and an empty mask row
-    /// can neither hold output nor own slots.
-    pub(crate) nonempty: Vec<(Idx, usize)>,
-    /// Per-tile `[lo, hi)` ranges into `nonempty` (parallel to `tiles`).
-    pub(crate) nonempty_ranges: Vec<(usize, usize)>,
     /// `(C.nrows, A.ncols = B.nrows, C.ncols)` the plan was built for.
     pub(crate) shape: (usize, usize, usize),
     /// Unique identity; keys the workers' cross-run accumulator scratch.
     pub(crate) plan_id: u64,
+}
+
+/// Resolve the SIMD mode against the CPU, once per plan (or graph):
+/// `(simd, simd_probe)`. The co-iteration search vectorises unless
+/// `Scalar` is forced. The AVX2 group probe of the hash accumulator stays
+/// off under `Auto`: slack-sized tables (see `engine::hash_slack`) keep
+/// probe chains within the scalar fast path, so the group probe's setup
+/// cost never pays for itself there. Only `Force` (plus CPU support)
+/// turns it on.
+pub(crate) fn resolve_simd(mode: SimdMode) -> (bool, bool) {
+    let avx = crate::simd::simd_available();
+    match mode {
+        SimdMode::Scalar => (false, false),
+        SimdMode::Force => (avx, avx),
+        SimdMode::Auto => (avx, false),
+    }
 }
 
 /// Run the symbolic phase: shape checks, Eq. 2 estimation, tiling, slot
@@ -179,60 +181,29 @@ pub(crate) fn prepare<T: Copy + Sync>(
             }
             _ => max_row_entries,
         };
-        // Mask slot layout for in-place assembly: tiles partition the rows
-        // in order, so one running prefix sum covers them all.
-        let mut slot_ranges = Vec::with_capacity(tiles.len());
-        let mut row_ranges = Vec::with_capacity(tiles.len());
-        let mut nonempty = Vec::new();
-        let mut nonempty_ranges = Vec::with_capacity(tiles.len());
-        let mut bound = 0usize;
-        for t in &tiles {
-            let lo = bound;
-            let ne_lo = nonempty.len();
-            for i in t.rows() {
-                let rn = mask.row_nnz(i);
-                if rn > 0 {
-                    nonempty.push((i as Idx, bound));
-                }
-                bound += rn;
-            }
-            slot_ranges.push((lo, bound));
-            row_ranges.push((t.lo, t.hi));
-            nonempty_ranges.push((ne_lo, nonempty.len()));
-        }
-        (estimated_work, tiles, (max_row_entries, overbook_row_entries), slot_ranges, row_ranges, nonempty, nonempty_ranges, bound)
+        let layout = SlotLayout::new(&tiles, mask);
+        (estimated_work, tiles, max_row_entries, overbook_row_entries, layout)
     });
-    let (estimated_work, tiles, (max_row_entries, overbook_row_entries), slot_ranges, row_ranges, nonempty, nonempty_ranges, bound) =
-        match prologue {
-            Ok(v) => v,
-            Err(msg) => {
-                return Err(SparseError::Internal {
-                    detail: format!("work estimation: {msg}"),
-                })
-            }
-        };
+    let (estimated_work, tiles, max_row_entries, overbook_row_entries, layout) = match prologue {
+        Ok(v) => v,
+        Err(msg) => {
+            return Err(SparseError::Internal { detail: format!("work estimation: {msg}") })
+        }
+    };
+    let (simd, simd_probe) = resolve_simd(config.kernel.simd);
     Ok(PlanCore {
         config,
         n_threads,
+        row_ranges: tiles.iter().map(|t| (t.lo, t.hi)).collect(),
         tiles,
-        slot_ranges,
-        row_ranges,
-        nonempty,
-        nonempty_ranges,
-        bound,
+        layout,
         estimated_work,
         max_row_entries,
         overbook_row_entries,
-        simd: match config.kernel.simd {
-            SimdMode::Scalar => false,
-            _ => crate::simd::simd_available(),
-        },
-        simd_probe: match config.kernel.simd {
-            SimdMode::Force => crate::simd::simd_available(),
-            _ => false,
-        },
+        simd,
+        simd_probe,
         shape: (a.nrows(), a.ncols(), b.ncols()),
-        plan_id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
+        plan_id: next_plan_id(),
     })
 }
 
@@ -340,11 +311,10 @@ pub(crate) fn fingerprint<T: Copy>(
     }
 }
 
-/// Cross-execution value scratch: the in-place assembly's slot buffers and
-/// per-row nnz array. Re-executing a plan `mem::take`s these, resizes
-/// *without clearing* (every surviving row slot is rewritten by its tile
-/// or by the degraded retry before compaction reads it), and returns them
-/// — so the steady state allocates nothing and memsets nothing.
+/// Cross-execution value scratch: the slot buffers (see
+/// [`SlotBufs`]). Re-executing a plan `mem::take`s them, resizes *without
+/// clearing*, and gets them back from the compaction step — so the steady
+/// state allocates nothing and memsets nothing.
 ///
 /// `accums` is the batch-path analogue of the worker-persistent
 /// [`WorkerScratch`](mspgemm_sched::WorkerScratch) slot: one type-erased
@@ -358,20 +328,13 @@ pub(crate) fn fingerprint<T: Copy>(
 /// mismatch (e.g. arming metrics flips the accumulator's `METER` const
 /// parameter and with it the `TypeId`).
 pub(crate) struct PlanScratch<S: Semiring> {
-    pub(crate) slot_cols: Vec<Idx>,
-    pub(crate) slot_vals: Vec<S::T>,
-    pub(crate) row_nnz: Vec<u32>,
+    pub(crate) slots: SlotBufs<S::T>,
     pub(crate) accums: Vec<std::sync::Mutex<Option<Box<dyn std::any::Any + Send>>>>,
 }
 
 impl<S: Semiring> Default for PlanScratch<S> {
     fn default() -> Self {
-        PlanScratch {
-            slot_cols: Vec::new(),
-            slot_vals: Vec::new(),
-            row_nnz: Vec::new(),
-            accums: Vec::new(),
-        }
+        PlanScratch { slots: SlotBufs::default(), accums: Vec::new() }
     }
 }
 
@@ -512,6 +475,7 @@ impl<S: Semiring> Plan<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mspgemm_sparse::Idx;
 
     #[test]
     fn fingerprint_is_structure_only() {
@@ -656,16 +620,16 @@ mod tests {
         )
         .unwrap();
         let core = prepare(&cfg, &m, &m, &m).unwrap();
-        assert_eq!(core.bound, 6, "slot bound is nnz(M)");
-        assert_eq!(core.slot_ranges.len(), core.tiles.len());
+        assert_eq!(core.layout.bound, 6, "slot bound is nnz(M)");
+        assert_eq!(core.layout.slot_ranges.len(), core.tiles.len());
         assert_eq!(core.row_ranges.len(), core.tiles.len());
         // slot ranges are a contiguous partition of [0, bound)
         let mut prev = 0;
-        for &(lo, hi) in &core.slot_ranges {
+        for &(lo, hi) in &core.layout.slot_ranges {
             assert_eq!(lo, prev);
             prev = hi;
         }
-        assert_eq!(prev, core.bound);
+        assert_eq!(prev, core.layout.bound);
         assert_eq!(core.shape, (4, 4, 4));
     }
 }

@@ -559,7 +559,6 @@ fn cache_key(fp: &Fingerprint, config: &Config) -> u64 {
             crate::config::SimdMode::Force => 3,
         },
     );
-    h = plan::fold(h, config.assembly as u64);
     plan::finish(h)
 }
 

@@ -1,9 +1,10 @@
-//! Equivalence suite for the two output-assembly paths.
+//! Equivalence suite for the output assembly (mask-bounded slots +
+//! parallel compaction).
 //!
-//! The in-place path (mask-bounded slots + parallel compaction) must be
-//! **bit-identical** to the legacy fragment-stitch path for every point of
-//! the configuration grid — same column order, same values, same `row_ptr`.
-//! Both paths fold products in the same k-order per row, so equality is
+//! The assembled product must be **bit-identical** to the dense oracle
+//! (`Dense::masked_matmul`) for every point of the configuration grid —
+//! same column order, same values, same `row_ptr`. The kernels fold
+//! products in the same k-order per row as the oracle, so equality is
 //! exact, not approximate.
 //!
 //! This binary pins `MSPGEMM_COMPACT_PAR_MIN=0` before the first driver
@@ -11,7 +12,7 @@
 //! compaction pass is exercised even on the tiny matrices used here —
 //! without the pin every test-sized run would take the serial branch.
 
-use mspgemm_core::{spgemm, Assembly, Config, IterationSpace, KernelPolicy};
+use mspgemm_core::{spgemm, Config, IterationSpace, KernelPolicy};
 use mspgemm_rt::failpoint;
 use mspgemm_rt::testkit::{check, vec_of};
 use mspgemm_sched::{Schedule, TilingStrategy};
@@ -42,18 +43,8 @@ fn lcg_matrix(nrows: usize, ncols: usize, per_row: usize, seed: u64) -> Csr<f64>
     coo.to_csr_with(|a, _| a)
 }
 
-/// Assert the two assembly paths agree exactly (pattern *and* storage):
-/// `Csr` equality compares `row_ptr`, `cols` and `vals` verbatim.
-fn assert_paths_identical(a: &Csr<f64>, b: &Csr<f64>, m: &Csr<f64>, base: &Config) {
-    let inplace = base.to_builder().assembly(Assembly::InPlace).build();
-    let legacy = base.to_builder().assembly(Assembly::Legacy).build();
-    let (ci, _) = spgemm::<PlusTimes>(a, b, m, &inplace).unwrap();
-    let (cl, _) = spgemm::<PlusTimes>(a, b, m, &legacy).unwrap();
-    assert_eq!(ci, cl, "assembly paths diverge under {}", base.label());
-}
-
 #[test]
-fn inplace_matches_legacy_across_full_config_grid() {
+fn inplace_matches_oracle_across_full_config_grid() {
     force_parallel_compaction();
     let a = lcg_matrix(64, 64, 5, 1);
     let b = lcg_matrix(64, 64, 4, 2);
@@ -77,7 +68,6 @@ fn inplace_matches_legacy_across_full_config_grid() {
                             KernelPolicy::new().iteration(iteration).accumulator(accumulator),
                         )
                         .build();
-                    assert_paths_identical(&a, &b, &m, &base);
                     let (got, _) = spgemm::<PlusTimes>(&a, &b, &m, &base).unwrap();
                     assert_eq!(got, oracle, "wrong product under {}", base.label());
                 }
@@ -87,7 +77,7 @@ fn inplace_matches_legacy_across_full_config_grid() {
 }
 
 #[test]
-fn inplace_matches_legacy_on_random_operands() {
+fn inplace_matches_oracle_on_random_operands() {
     force_parallel_compaction();
     const CASES: usize = 64;
     let s = (
@@ -102,11 +92,9 @@ fn inplace_matches_legacy_on_random_operands() {
         }
         coo.to_csr_last()
     };
-    check("inplace_matches_legacy_on_random_operands", CASES, s, |(ta, tb, tm)| {
+    check("inplace_matches_oracle_on_random_operands", CASES, s, |(ta, tb, tm)| {
         let (a, b, m) = (csr(&ta), csr(&tb), csr(&tm));
         let base = Config::builder().n_threads(2).n_tiles(5).build();
-        assert_paths_identical(&a, &b, &m, &base);
-        // and both agree with the dense oracle, not just with each other
         let want = Dense::masked_matmul::<PlusTimes, f64>(&a, &b, &m);
         let (got, _) = spgemm::<PlusTimes>(&a, &b, &m, &base).unwrap();
         assert_eq!(got, want);
@@ -117,7 +105,7 @@ fn inplace_matches_legacy_on_random_operands() {
 fn zero_slack_run_adopts_slot_buffers() {
     force_parallel_compaction();
     // mask = the product's own pattern ⇒ every mask entry is filled,
-    // slack is zero and the in-place path adopts the slot buffers without
+    // slack is zero and the compaction adopts the slot buffers without
     // copying (driver.compaction_bytes == 0 is asserted in metrics.rs;
     // here we check the result is still right on the adoption branch)
     let a = lcg_matrix(48, 48, 5, 9);
@@ -129,7 +117,6 @@ fn zero_slack_run_adopts_slot_buffers() {
     let base = Config::builder().n_threads(2).n_tiles(6).build();
     let want = Dense::masked_matmul::<PlusTimes, f64>(&a, &a, &mask);
     assert_eq!(want.nnz(), mask.nnz(), "test premise: zero slack");
-    assert_paths_identical(&a, &a, &mask, &base);
     let (got, _) = spgemm::<PlusTimes>(&a, &a, &mask, &base).unwrap();
     assert_eq!(got, want);
 }
@@ -166,7 +153,6 @@ fn fault_retried_tile_lands_in_its_slots_bit_identically() {
         .n_threads(2)
         .n_tiles(8)
         .schedule(Schedule::Dynamic { chunk: 1 })
-        .assembly(Assembly::InPlace)
         .build();
     with_failpoints("", || {
         let (want, _) = spgemm::<PlusTimes>(&a, &b, &m, &base).unwrap();
@@ -186,11 +172,7 @@ fn fault_retried_tile_lands_in_its_slots_bit_identically() {
 fn fault_all_tiles_retried_still_assemble_in_place() {
     force_parallel_compaction();
     let a = lcg_matrix(50, 50, 5, 7);
-    let base = Config::builder()
-        .n_threads(2)
-        .n_tiles(8)
-        .assembly(Assembly::InPlace)
-        .build();
+    let base = Config::builder().n_threads(2).n_tiles(8).build();
     with_failpoints("", || {
         let (want, _) = spgemm::<PlusTimes>(&a, &a, &a, &base).unwrap();
         failpoint::arm("tile-kernel=panic@p:1.0").unwrap();

@@ -6,11 +6,14 @@
 //! each test self-contained either way), runs under a shared mutex because
 //! the registry is process-global, and disarms its sites on the way out.
 
-use mspgemm_core::{masked_spgemm_2d, spgemm, Config};
+use mspgemm_core::{
+    masked_spgemm_2d, spgemm, Config, Executor, GraphBuilder, Service, ServiceOptions,
+    SubmitOptions,
+};
 use mspgemm_rt::failpoint;
 use mspgemm_sched::Schedule;
-use mspgemm_sparse::{Coo, Csr, PlusTimes, SparseError};
-use std::sync::Mutex;
+use mspgemm_sparse::{Coo, Csr, Dense, PlusTimes, SparseError};
+use std::sync::{Arc, Mutex};
 
 static REGISTRY_LOCK: Mutex<()> = Mutex::new(());
 
@@ -232,5 +235,61 @@ fn fault_static_schedule_recovers_too() {
         assert_eq!(got, want);
         assert_eq!(stats.failed_tiles, 1);
         assert_eq!(stats.retried_tiles, 1);
+    });
+}
+
+#[test]
+fn fault_pinned_tile_recovers_on_every_engine_caller() {
+    // One pinned tile failure through each caller of the shared settle: a
+    // single product, a 1-node PlanGraph (tile key = node 0's tile) and a
+    // 2-job Service batch (the multiplexed path). Each must equal the
+    // dense oracle bit for bit with exactly one tile failed and retried.
+    let a = lcg_matrix(64, 64, 5, 13);
+    let b = lcg_matrix(64, 64, 4, 14);
+    let m = lcg_matrix(64, 64, 6, 15);
+    let want = Dense::masked_matmul::<PlusTimes, f64>(&a, &b, &m);
+    let cfg = test_config();
+    // the blocker's symbolic phase (keyed by its 48 rows) is delayed, so
+    // the two jobs submitted behind it queue up and coalesce into one batch
+    let spec = "tile-kernel=panic@p:1.0,key:3;work-estimate=delay@ms:100,key:48";
+    with_failpoints(spec, || {
+        let (got, stats) = spgemm::<PlusTimes>(&a, &b, &m, &cfg).expect("single product");
+        assert_eq!(got, want, "single product");
+        assert_eq!((stats.failed_tiles, stats.retried_tiles), (1, 1), "single product");
+
+        let mut gb = GraphBuilder::<PlusTimes>::on(Executor::global(), cfg);
+        let (x, y, mk) = (gb.input(), gb.input(), gb.input());
+        gb.product(x, y, mk);
+        let mut graph = gb.build(&[&a, &b, &m]).expect("graph build");
+        let (outs, stats) = graph.execute(&[&a, &b, &m]).expect("graph execute");
+        assert_eq!(outs, vec![want.clone()], "1-node graph");
+        assert_eq!((stats.failed_tiles, stats.retried_tiles), (1, 1), "1-node graph");
+
+        let (a, b, m) = (Arc::new(a.clone()), Arc::new(b.clone()), Arc::new(m.clone()));
+        let blocker = Arc::new(lcg_matrix(48, 48, 4, 16));
+        let batched = (0..20).find_map(|_| {
+            // a fresh service per attempt: an empty plan cache re-runs
+            // (and so re-delays) the blocker's symbolic phase
+            let svc = Service::<PlusTimes>::on(&Executor::new(), ServiceOptions::default());
+            let submit = |x: &Arc<Csr<f64>>, y: &Arc<Csr<f64>>, z: &Arc<Csr<f64>>| {
+                let (x, y, z) = (Arc::clone(x), Arc::clone(y), Arc::clone(z));
+                svc.submit(x, y, z, cfg, SubmitOptions::default()).expect("admitted")
+            };
+            let first = submit(&blocker, &blocker, &blocker);
+            // wait for the dispatcher to take the blocker alone
+            let t0 = std::time::Instant::now();
+            while svc.depth() > 0 && t0.elapsed() < std::time::Duration::from_secs(5) {
+                std::thread::yield_now();
+            }
+            let jobs = [submit(&a, &b, &m), submit(&a, &b, &m)];
+            first.wait().expect("blocker recovers too");
+            let replies: Vec<_> = jobs.into_iter().map(|t| t.wait().expect("batch job")).collect();
+            replies.iter().all(|r| r.batch_size == 2).then_some(replies)
+        });
+        let replies = batched.expect("the two jobs never shared a batch");
+        for r in &replies {
+            assert_eq!(r.c, want, "batch job");
+            assert_eq!((r.stats.failed_tiles, r.stats.retried_tiles), (1, 1), "batch job");
+        }
     });
 }

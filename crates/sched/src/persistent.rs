@@ -1,10 +1,10 @@
 //! A persistent worker pool — threads spawned once, parked between runs.
 //!
-//! The scoped pool in [`crate::pool`] spawns `p` fresh OS threads per call,
-//! which is the right shape for one-shot measurements (every run is
-//! hermetic) but wrong for the iterated workloads the paper motivates
-//! masked SpGEMM with (triangle counting, k-truss, BFS — all call
-//! `C = M ⊙ (A × B)` in a loop). This module keeps the workers alive:
+//! Spawning `p` fresh OS threads per call is the wrong shape for the
+//! iterated workloads the paper motivates masked SpGEMM with (triangle
+//! counting, k-truss, BFS — all call `C = M ⊙ (A × B)` in a loop). This
+//! pool keeps the workers alive, and is the one pool every tile run in
+//! the workspace executes on:
 //!
 //! * threads are spawned lazily on first use and then *parked* on a
 //!   condvar between runs — a run costs one lock + broadcast, not `p`
@@ -13,9 +13,9 @@
 //!   per-worker state (the sparse accumulator, in the driver) amortises to
 //!   zero steady-state allocation across an entire session, not just
 //!   across the tiles of one call;
-//! * the tile-level fault model of the scoped pool is preserved exactly:
-//!   a panicking tile is caught, recorded as a [`TileFailure`], and the
-//!   worker invalidates its scratch and keeps draining. A panic that
+//! * tiles are fault-isolated: a panicking tile is caught, recorded as a
+//!   [`TileFailure`], and the worker invalidates its scratch and keeps
+//!   draining (survivors drain the whole queue). A panic that
 //!   escapes tile isolation (scheduler-infrastructure failure) *poisons*
 //!   the pool: the in-flight run fails with [`PoolError::Poisoned`] and
 //!   all future runs are refused, but the process — and the caller — live.
@@ -103,7 +103,7 @@ impl std::error::Error for PoolError {}
 
 /// Outcome of [`WorkerPool::run_tiles`] when something went wrong: either
 /// the pool itself failed (poisoned / could not spawn) or the run completed
-/// with per-tile failures, exactly like the scoped pool's [`ExecError`].
+/// with per-tile failures ([`ExecError`]).
 #[derive(Debug)]
 pub enum PoolRunError {
     /// Pool-infrastructure failure; no per-tile accounting is available.
@@ -532,11 +532,20 @@ impl WorkerPool {
         st
     }
 
+    /// Sample the per-run constants of the tile loop (see [`TileCtx`]).
+    fn tile_ctx(&self) -> TileCtx {
+        TileCtx {
+            metrics_on: obs::armed(),
+            trace_on: obs::trace_armed(),
+            watchdog: self.inner.watchdog.enabled().then_some(self.inner.birth),
+        }
+    }
+
     /// Execute `n_tiles` tiles on `n_threads` pool workers under
-    /// `schedule`, with the same per-tile fault isolation, claim metering
-    /// and tracing as the scoped [`crate::pool::run_tiles`] — but on
-    /// parked, reusable threads, and with `body` receiving the worker's
-    /// cross-run [`WorkerScratch`] instead of per-call state.
+    /// `schedule` (see [`Schedule`] for the claim disciplines), with
+    /// per-tile fault isolation, claim metering and tracing, on parked,
+    /// reusable threads; `body` receives the worker's cross-run
+    /// [`WorkerScratch`].
     ///
     /// `body(worker, scratch, tile)` runs once per tile; an unwinding tile
     /// is recorded as a [`TileFailure`] (and the worker's scratch
@@ -582,13 +591,8 @@ impl WorkerPool {
         let failures: Mutex<Vec<TileFailure>> = Mutex::new(Vec::new());
         let reports: Vec<Mutex<ThreadReport>> =
             (0..n_threads).map(|_| Mutex::new(ThreadReport::default())).collect();
-        // armed-state sampled once per run, same discipline as the scoped
-        // pool: per-tile observability costs one branch on a local bool
-        let metrics_on = obs::armed();
-        let trace_on = obs::trace_armed();
-        let meter_claims = metrics_on && !matches!(schedule, Schedule::Static);
-        let wd_on = self.inner.watchdog.enabled();
-        let birth = self.inner.birth;
+        let ctx = self.tile_ctx();
+        let meter_claims = ctx.metrics_on && !matches!(schedule, Schedule::Static);
 
         let job = |t: usize, ws: &mut WorkerScratch| {
             let mut report = ThreadReport::default();
@@ -610,73 +614,16 @@ impl WorkerPool {
                     if cancel.is_some_and(|c| c.is_cancelled()) {
                         break 'claims;
                     }
-                    let ts_us = if trace_on { obs::now_us() } else { 0 };
-                    let start = Instant::now();
-                    if metrics_on {
-                        scratch.started += 1;
-                    }
-                    let stamp = if wd_on { stamp_now(&birth) } else { 0 };
-                    if wd_on {
-                        ws.hb.busy_since.store(stamp, Ordering::Release);
-                    }
-                    let outcome = catch_tile_panic(|| body(t, ws, tile));
-                    let was_abandoned = if wd_on {
-                        let hit = ws.hb.abandoned.load(Ordering::Acquire) == stamp;
-                        ws.hb.busy_since.store(0, Ordering::Release);
-                        if hit {
-                            ws.hb.abandoned.store(0, Ordering::Release);
-                        }
-                        hit
-                    } else {
-                        false
-                    };
-                    match outcome {
-                        Ok(()) if !was_abandoned => {
-                            let elapsed = start.elapsed();
-                            report.busy += elapsed;
-                            report.tiles_run += 1;
-                            if metrics_on {
-                                scratch.completed += 1;
-                                scratch.tile_us.record(elapsed.as_micros() as u64);
-                            }
-                            if trace_on {
-                                obs::complete_event(
-                                    "tile",
-                                    tile as u64,
-                                    t as u64,
-                                    ts_us,
-                                    elapsed.as_micros() as u64,
-                                );
-                            }
-                        }
-                        outcome => {
-                            let msg = match outcome {
-                                Err(msg) => msg,
-                                Ok(()) => format!(
-                                    "abandoned by watchdog: tile {tile} overran the \
-                                     stall budget; the degraded serial path owns it"
-                                ),
-                            };
-                            report.tiles_failed += 1;
-                            scratch.failed += 1;
-                            let mut guard =
-                                failures.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.push(TileFailure {
-                                tile,
-                                payload: msg,
-                                elapsed: start.elapsed(),
-                            });
-                            drop(guard);
-                            // cross-run scratch may be mid-update; rebuild
-                            // from clean on next use
-                            ws.invalidate();
-                        }
+                    let outcome =
+                        ctx.execute(t, tile, ws, &mut report, &mut scratch, |ws| body(t, ws, tile));
+                    if let Err(failure) = outcome {
+                        failures.lock().unwrap_or_else(|e| e.into_inner()).push(failure);
                     }
                 }
             }
             // flushed here — before the worker decrements `active` — so a
             // snapshot delta taken around the run sees every sample
-            if metrics_on {
+            if ctx.metrics_on {
                 scratch.flush(report.busy);
             }
             *reports[t].lock().unwrap_or_else(|e| e.into_inner()) = report;
@@ -689,7 +636,7 @@ impl WorkerPool {
             .into_iter()
             .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
             .collect();
-        if metrics_on && cancel.is_some_and(|c| c.is_cancelled()) {
+        if ctx.metrics_on && cancel.is_some_and(|c| c.is_cancelled()) {
             let touched =
                 reports.iter().map(|r| r.tiles_run).sum::<usize>() + failures.len();
             obs::add(obs::Counter::SchedTilesCancelled, (n_tiles - touched) as u64);
@@ -757,16 +704,13 @@ impl WorkerPool {
         let failures: Mutex<Vec<(usize, TileFailure)>> = Mutex::new(Vec::new());
         let reports: Vec<Mutex<ThreadReport>> =
             (0..n_threads).map(|_| Mutex::new(ThreadReport::default())).collect();
-        let metrics_on = obs::armed();
-        let trace_on = obs::trace_armed();
-        let wd_on = self.inner.watchdog.enabled();
-        let birth = self.inner.birth;
+        let ctx = self.tile_ctx();
 
         let job = |t: usize, ws: &mut WorkerScratch| {
             let mut report = ThreadReport::default();
             let mut scratch = ObsScratch::default();
             loop {
-                let claim_start = if metrics_on { Some(Instant::now()) } else { None };
+                let claim_start = if ctx.metrics_on { Some(Instant::now()) } else { None };
                 let idx = cursor.fetch_add(1, Ordering::Relaxed);
                 if let Some(s) = claim_start {
                     scratch.claims += 1;
@@ -782,69 +726,17 @@ impl WorkerPool {
                     skipped[r].fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                let ts_us = if trace_on { obs::now_us() } else { 0 };
-                let start = Instant::now();
-                if metrics_on {
-                    scratch.started += 1;
-                }
-                let stamp = if wd_on { stamp_now(&birth) } else { 0 };
-                if wd_on {
-                    ws.hb.busy_since.store(stamp, Ordering::Release);
-                }
-                let outcome = catch_tile_panic(|| (runs[r].body)(t, ws, tile));
-                let was_abandoned = if wd_on {
-                    let hit = ws.hb.abandoned.load(Ordering::Acquire) == stamp;
-                    ws.hb.busy_since.store(0, Ordering::Release);
-                    if hit {
-                        ws.hb.abandoned.store(0, Ordering::Release);
-                    }
-                    hit
-                } else {
-                    false
-                };
-                match outcome {
-                    Ok(()) if !was_abandoned => {
-                        let elapsed = start.elapsed();
-                        report.busy += elapsed;
-                        report.tiles_run += 1;
+                let body = runs[r].body;
+                match ctx.execute(t, tile, ws, &mut report, &mut scratch, |ws| body(t, ws, tile)) {
+                    Ok(()) => {
                         completed[r].fetch_add(1, Ordering::Relaxed);
-                        if metrics_on {
-                            scratch.completed += 1;
-                            scratch.tile_us.record(elapsed.as_micros() as u64);
-                        }
-                        if trace_on {
-                            obs::complete_event(
-                                "tile",
-                                tile as u64,
-                                t as u64,
-                                ts_us,
-                                elapsed.as_micros() as u64,
-                            );
-                        }
                     }
-                    outcome => {
-                        let msg = match outcome {
-                            Err(msg) => msg,
-                            Ok(()) => format!(
-                                "abandoned by watchdog: tile {tile} overran the \
-                                 stall budget; the degraded serial path owns it"
-                            ),
-                        };
-                        report.tiles_failed += 1;
-                        scratch.failed += 1;
-                        let mut guard = failures.lock().unwrap_or_else(|e| e.into_inner());
-                        guard.push((
-                            r,
-                            TileFailure { tile, payload: msg, elapsed: start.elapsed() },
-                        ));
-                        drop(guard);
-                        // cross-run scratch may be mid-update; rebuild
-                        // from clean on next use
-                        ws.invalidate();
+                    Err(failure) => {
+                        failures.lock().unwrap_or_else(|e| e.into_inner()).push((r, failure));
                     }
                 }
             }
-            if metrics_on {
+            if ctx.metrics_on {
                 scratch.flush(report.busy);
             }
             *reports[t].lock().unwrap_or_else(|e| e.into_inner()) = report;
@@ -860,7 +752,7 @@ impl WorkerPool {
             v.sort_by_key(|f| f.tile);
         }
         let skipped: Vec<usize> = skipped.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        if metrics_on {
+        if ctx.metrics_on {
             let total_skipped: usize = skipped.iter().sum();
             if total_skipped > 0 {
                 obs::add(obs::Counter::SchedTilesCancelled, total_skipped as u64);
@@ -875,6 +767,79 @@ impl WorkerPool {
             skipped,
             failures: per_run,
         })
+    }
+}
+
+/// Per-run constants of the tile loops, sampled once per run so per-tile
+/// observability costs one branch on a local bool.
+#[derive(Clone, Copy)]
+struct TileCtx {
+    metrics_on: bool,
+    trace_on: bool,
+    /// The pool's birth instant (heartbeat epoch) when the watchdog is on.
+    watchdog: Option<Instant>,
+}
+
+impl TileCtx {
+    /// Execute one claimed tile under the pool's fault model, shared by
+    /// every claim loop: stamp the worker's heartbeat, run `body`
+    /// panic-isolated, and account the outcome in `report` / `scratch`.
+    /// A tile that unwinds — or that the watchdog abandoned while it ran —
+    /// comes back as a [`TileFailure`], and the worker's cross-run scratch
+    /// is invalidated, since it may be mid-update.
+    fn execute(
+        &self,
+        t: usize,
+        tile: usize,
+        ws: &mut WorkerScratch,
+        report: &mut ThreadReport,
+        scratch: &mut ObsScratch,
+        body: impl FnOnce(&mut WorkerScratch),
+    ) -> Result<(), TileFailure> {
+        let ts_us = if self.trace_on { obs::now_us() } else { 0 };
+        let start = Instant::now();
+        if self.metrics_on {
+            scratch.started += 1;
+        }
+        let stamp = self.watchdog.map_or(0, |birth| stamp_now(&birth));
+        if self.watchdog.is_some() {
+            ws.hb.busy_since.store(stamp, Ordering::Release);
+        }
+        let outcome = catch_tile_panic(|| body(ws));
+        let was_abandoned = self.watchdog.is_some() && {
+            let hit = ws.hb.abandoned.load(Ordering::Acquire) == stamp;
+            ws.hb.busy_since.store(0, Ordering::Release);
+            if hit {
+                ws.hb.abandoned.store(0, Ordering::Release);
+            }
+            hit
+        };
+        let payload = match outcome {
+            Ok(()) if !was_abandoned => {
+                let elapsed = start.elapsed();
+                report.busy += elapsed;
+                report.tiles_run += 1;
+                if self.metrics_on {
+                    scratch.completed += 1;
+                    scratch.tile_us.record(elapsed.as_micros() as u64);
+                }
+                if self.trace_on {
+                    let us = elapsed.as_micros() as u64;
+                    obs::complete_event("tile", tile as u64, t as u64, ts_us, us);
+                }
+                return Ok(());
+            }
+            Err(msg) => msg,
+            Ok(()) => format!(
+                "abandoned by watchdog: tile {tile} overran the stall budget; the degraded \
+                 serial path owns it"
+            ),
+        };
+        report.tiles_failed += 1;
+        scratch.failed += 1;
+        // cross-run scratch may be mid-update; rebuild from clean on next use
+        ws.invalidate();
+        Err(TileFailure { tile, payload, elapsed: start.elapsed() })
     }
 }
 
@@ -1477,5 +1442,263 @@ mod tests {
         assert!(n < 50, "the deadline must cut the run short");
         assert!(token.deadline_expired());
         assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), n);
+    }
+
+    // --- claim and failure behaviour across every schedule ---
+
+    #[test]
+    fn every_tile_runs_exactly_once_static() {
+        let pool = WorkerPool::new();
+        let n_tiles = 101;
+        let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
+        let reports = pool
+            .run_tiles(4, n_tiles, Schedule::Static, |_, _, tile| {
+                counts[tile].fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
+        for (i, c) in counts.iter().enumerate() {
+            assert_eq!(c.load(Ordering::Relaxed), 1, "tile {i}");
+        }
+        assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), n_tiles);
+        // static: block sizes differ by at most 1
+        let max = reports.iter().map(|r| r.tiles_run).max().unwrap();
+        let min = reports.iter().map(|r| r.tiles_run).min().unwrap();
+        assert!(max - min <= 1);
+    }
+
+    #[test]
+    fn every_tile_runs_exactly_once_dynamic() {
+        let pool = WorkerPool::new();
+        for chunk in [1, 3, 16] {
+            let n_tiles = 97;
+            let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
+            let reports = pool
+                .run_tiles(3, n_tiles, Schedule::Dynamic { chunk }, |_, _, tile| {
+                    counts[tile].fetch_add(1, Ordering::Relaxed);
+                })
+                .unwrap();
+            for (i, c) in counts.iter().enumerate() {
+                assert_eq!(c.load(Ordering::Relaxed), 1, "tile {i} chunk {chunk}");
+            }
+            assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), n_tiles);
+        }
+    }
+
+    #[test]
+    fn every_tile_runs_exactly_once_guided() {
+        let pool = WorkerPool::new();
+        for chunk in [1, 4] {
+            for n_tiles in [5usize, 97, 1000] {
+                let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
+                let reports = pool
+                    .run_tiles(3, n_tiles, Schedule::Guided { chunk }, |_, _, tile| {
+                        counts[tile].fetch_add(1, Ordering::Relaxed);
+                    })
+                    .unwrap();
+                for (i, c) in counts.iter().enumerate() {
+                    assert_eq!(
+                        c.load(Ordering::Relaxed),
+                        1,
+                        "tile {i}, chunk {chunk}, n {n_tiles}"
+                    );
+                }
+                assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), n_tiles);
+            }
+        }
+    }
+
+    /// Spin for `spins` iterations: a deterministic CPU-bound tile.
+    fn spin(spins: u64) {
+        let mut x = 0u64;
+        for i in 0..spins {
+            x = x.wrapping_add(i);
+        }
+        std::hint::black_box(x);
+    }
+
+    #[test]
+    fn guided_balances_skewed_work() {
+        // tile 0 is much slower; guided's shrinking tail chunks must let
+        // the other thread absorb the remaining tiles (like dynamic)
+        let pool = WorkerPool::new();
+        let reports = pool
+            .run_tiles(2, 64, Schedule::Guided { chunk: 1 }, |_, _, tile| {
+                spin(if tile == 0 { 6_000_000 } else { 5_000 });
+            })
+            .unwrap();
+        let total: usize = reports.iter().map(|r| r.tiles_run).sum();
+        assert_eq!(total, 64);
+        let max_tiles = reports.iter().map(|r| r.tiles_run).max().unwrap();
+        assert!(
+            max_tiles > 32,
+            "the unblocked thread should take more than half the tiles: {:?}",
+            reports.iter().map(|r| r.tiles_run).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn dynamic_balances_skewed_work() {
+        // tile 0 is 100x slower; dynamic should let the other thread take
+        // everything else. With static, thread 0 would own half the tiles
+        // *plus* the slow one.
+        let pool = WorkerPool::new();
+        let reports = pool
+            .run_tiles(2, 32, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
+                spin(if tile == 0 { 4_000_000 } else { 10_000 });
+            })
+            .unwrap();
+        let min_tiles = reports.iter().map(|r| r.tiles_run).min().unwrap();
+        let max_tiles = reports.iter().map(|r| r.tiles_run).max().unwrap();
+        assert!(
+            max_tiles > min_tiles,
+            "dynamic scheduling should shift tiles away from the slow thread \
+             (got {min_tiles} vs {max_tiles})"
+        );
+    }
+
+    #[test]
+    fn static_hands_each_worker_its_own_block() {
+        // three workers, three tiles: worker t owns exactly tile t
+        let pool = WorkerPool::new();
+        let seen: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(0)).collect();
+        pool.run_tiles(3, 3, Schedule::Static, |t, _, tile| {
+            assert_eq!(t, tile, "static block of worker {t}");
+            seen[t].fetch_add(1, Ordering::Relaxed);
+        })
+        .unwrap();
+        for s in &seen {
+            assert_eq!(s.load(Ordering::Relaxed), 1);
+        }
+    }
+
+    #[test]
+    fn every_variant_visits_each_tile_exactly_once_across_the_count_matrix() {
+        // the full coverage matrix: every schedule variant × tile counts
+        // around the thread count (1, p−1, p, 64·p) plus the
+        // more-threads-than-tiles regime
+        let pool = WorkerPool::new();
+        let p = 4usize;
+        let variants = [
+            Schedule::Static,
+            Schedule::Dynamic { chunk: 1 },
+            Schedule::Dynamic { chunk: 7 },
+            Schedule::Guided { chunk: 1 },
+            Schedule::Guided { chunk: 4 },
+        ];
+        let cases = [(p, 1usize), (p, p - 1), (p, p), (p, 64 * p), (4 * p, p / 2)];
+        for schedule in variants {
+            for (n_threads, n_tiles) in cases {
+                let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
+                let reports = pool
+                    .run_tiles(n_threads, n_tiles, schedule, |_, _, tile| {
+                        counts[tile].fetch_add(1, Ordering::Relaxed);
+                    })
+                    .unwrap();
+                assert_eq!(reports.len(), n_threads, "{schedule:?} p={n_threads} n={n_tiles}");
+                for (i, c) in counts.iter().enumerate() {
+                    assert_eq!(
+                        c.load(Ordering::Relaxed),
+                        1,
+                        "tile {i} under {schedule:?} with p={n_threads} n={n_tiles}"
+                    );
+                }
+                assert_eq!(
+                    reports.iter().map(|r| r.tiles_run).sum::<usize>(),
+                    n_tiles,
+                    "report totals under {schedule:?} with p={n_threads} n={n_tiles}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_tile_is_isolated_and_survivors_drain() {
+        // tile 13 always panics; every other tile must still run exactly
+        // once, and the process must not abort
+        let pool = WorkerPool::new();
+        for schedule in Schedule::all_extended() {
+            let n_tiles = 40;
+            let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
+            let err = pool
+                .run_tiles(4, n_tiles, schedule, |_, _, tile| {
+                    if tile == 13 {
+                        panic!("kernel died on tile {tile}");
+                    }
+                    counts[tile].fetch_add(1, Ordering::Relaxed);
+                })
+                .expect_err("tile 13 must be reported");
+            let PoolRunError::Tiles(err) = err else { panic!("{schedule:?}: pool failure") };
+            assert_eq!(err.failures.len(), 1, "{schedule:?}");
+            assert_eq!(err.failures[0].tile, 13);
+            assert!(err.failures[0].payload.contains("kernel died on tile 13"));
+            for (i, c) in counts.iter().enumerate() {
+                let want = if i == 13 { 0 } else { 1 };
+                assert_eq!(c.load(Ordering::Relaxed), want, "tile {i} under {schedule:?}");
+            }
+            assert_eq!(
+                err.reports.iter().map(|r| r.tiles_run).sum::<usize>(),
+                n_tiles - 1,
+                "{schedule:?}"
+            );
+            assert_eq!(err.reports.iter().map(|r| r.tiles_failed).sum::<usize>(), 1);
+        }
+    }
+
+    #[test]
+    fn multiple_failures_are_sorted_by_tile() {
+        let pool = WorkerPool::new();
+        let err = pool
+            .run_tiles(3, 30, Schedule::Dynamic { chunk: 2 }, |_, _, tile| {
+                if tile % 7 == 0 {
+                    panic!("bad tile");
+                }
+            })
+            .expect_err("tiles 0,7,14,21,28 fail");
+        let PoolRunError::Tiles(err) = err else { panic!("tile failures, not a pool failure") };
+        let failed: Vec<usize> = err.failures.iter().map(|f| f.tile).collect();
+        assert_eq!(failed, vec![0, 7, 14, 21, 28]);
+    }
+
+    #[test]
+    fn worker_state_persists_across_all_claimed_tiles() {
+        // the worker-persistent-scratch contract: on a healthy run, the
+        // scratch is built exactly once per worker no matter how many
+        // tiles that worker claims, under every schedule
+        for schedule in Schedule::all_extended() {
+            let pool = WorkerPool::new();
+            let inits = AtomicU64::new(0);
+            let reports = pool
+                .run_tiles(3, 48, schedule, |_, ws, _| {
+                    let seen: &mut u64 = ws.get_or_build(1, || {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        0u64
+                    });
+                    *seen += 1;
+                })
+                .unwrap();
+            let active = reports.iter().filter(|r| r.tiles_run > 0).count() as u64;
+            assert_eq!(
+                inits.load(Ordering::Relaxed),
+                active,
+                "exactly one init per worker that claimed work, {schedule:?}"
+            );
+            assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 48);
+        }
+    }
+
+    #[test]
+    fn exec_error_display_names_tiles() {
+        let pool = WorkerPool::new();
+        let err = pool
+            .run_tiles(2, 8, Schedule::Static, |_, _, tile| {
+                if tile >= 2 {
+                    panic!("boom {tile}");
+                }
+            })
+            .expect_err("six tiles fail");
+        let msg = err.to_string();
+        assert!(msg.contains("6 tile(s) failed"), "{msg}");
+        assert!(msg.contains("tile 2"), "{msg}");
+        assert!(msg.contains("and 2 more"), "{msg}");
     }
 }

@@ -262,8 +262,6 @@ fn usage() -> ! {
          \n\
          execution (run/tc/session):\n\
            --threads <n>       worker threads (default: all cores)\n\
-           --assembly <inplace|legacy>             output assembly (default inplace:\n\
-                               mask-bounded slots + parallel compaction)\n\
            --bands <n>         2-D tiling column bands (run only, default 1)\n\
            --reps <n>          timing repetitions (run only, default 3)\n\
            --iters <n>         planned executions (session only, default 50)\n\
@@ -421,16 +419,6 @@ fn parse_config(flags: &HashMap<String, String>) -> Config {
     } else if chunk != 1 {
         // --chunk without --schedule adjusts the default dynamic schedule
         b = b.schedule(Schedule::Dynamic { chunk });
-    }
-    if let Some(a) = flags.get("assembly") {
-        b = b.assembly(match a.as_str() {
-            "inplace" => Assembly::InPlace,
-            "legacy" => Assembly::Legacy,
-            other => {
-                eprintln!("bad --assembly {other:?}");
-                usage();
-            }
-        });
     }
     // --- kernel-policy group: --acc / --iter / --kappa / --overbook / --simd ---
     let mut kernel = KernelPolicy::new();

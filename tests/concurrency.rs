@@ -57,14 +57,6 @@ fn stress_cases(a: &Arc<Csr<u64>>) -> Vec<StressCase<PlusPair>> {
             mask: Arc::new(frontier_mask(a, stride)),
             config: Config::default(),
         })
-        .chain(std::iter::once(StressCase {
-            // one legacy-assembly case: batches route it down the
-            // sequential dispatch path next to multiplexed siblings
-            a: Arc::clone(a),
-            b: Arc::clone(a),
-            mask: Arc::new(frontier_mask(a, 8)),
-            config: Config::builder().assembly(Assembly::Legacy).build(),
-        }))
         .collect()
 }
 

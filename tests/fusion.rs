@@ -29,7 +29,8 @@ fn graph_grid() -> Vec<(&'static str, Csr<f64>)> {
     ]
 }
 
-/// The three preset operating points (Fig. 1's legend), pinned to a
+/// The three preset operating points (Fig. 1's legend) plus the tuned
+/// point under both non-default SIMD modes, pinned to a
 /// test-friendly thread/tile count so the grid exercises the per-preset
 /// accumulator and iteration-space choices rather than the machine's core
 /// count. `preset_config` resolves tile counts from `available_parallelism`,
@@ -66,6 +67,16 @@ fn preset_grid() -> Vec<(&'static str, Config)> {
                         .hybrid(1.0),
                 )
                 .build(),
+        ),
+        // the SIMD axis: forced-scalar kernels, and every vector
+        // instantiation the CPU has (including the hash group probe)
+        (
+            "tuned-scalar",
+            base.kernel_policy(KernelPolicy::new().hybrid(1.0).simd(SimdMode::Scalar)).build(),
+        ),
+        (
+            "tuned-simd-force",
+            base.kernel_policy(KernelPolicy::new().hybrid(1.0).simd(SimdMode::Force)).build(),
         ),
     ]
 }
