@@ -1,6 +1,10 @@
 //! Executable shape checks: read the CSVs produced by the figure binaries
-//! and evaluate the paper's qualitative claims, printing a PASS/FAIL
-//! verdict per claim. EXPERIMENTS.md quotes this output.
+//! and evaluate the paper's qualitative claims, printing a verdict per
+//! claim: PASS, FAIL, or NOT REPRODUCED when the measured effect sits
+//! inside the noise band, so that neither outcome can be claimed (or
+//! when a claim's premise was not reproduced). Only FAIL sets the exit
+//! code. EXPERIMENTS.md quotes this output, and CI diffs it against
+//! `results/verdicts.txt`.
 //!
 //! Run after `./run_experiments.sh`:
 //! `cargo run --release -p mspgemm-bench --bin verdicts`
@@ -31,25 +35,32 @@ fn f(rec: &HashMap<String, String>, k: &str) -> f64 {
     rec[k].parse().unwrap_or(f64::NAN)
 }
 
+#[derive(Default)]
 struct Verdicts {
     passed: usize,
     failed: usize,
+    not_reproduced: usize,
 }
 
 impl Verdicts {
     fn check(&mut self, claim: &str, ok: bool, detail: String) {
-        if ok {
-            self.passed += 1;
-            println!("PASS  {claim}\n      {detail}");
-        } else {
-            self.failed += 1;
-            println!("FAIL  {claim}\n      {detail}");
+        self.report(claim, if ok { "PASS" } else { "FAIL" }, detail);
+    }
+
+    /// Print one verdict; any label but PASS and FAIL counts as not
+    /// reproduced.
+    fn report(&mut self, claim: &str, label: &str, detail: String) {
+        match label {
+            "PASS" => self.passed += 1,
+            "FAIL" => self.failed += 1,
+            _ => self.not_reproduced += 1,
         }
+        println!("{label}  {claim}\n      {detail}");
     }
 }
 
 fn main() {
-    let mut v = Verdicts { passed: 0, failed: 0 };
+    let mut v = Verdicts::default();
 
     // ---------------- Fig. 1 claims ----------------
     if let Some(rows) = read_csv("fig1.csv") {
@@ -136,12 +147,15 @@ fn main() {
                 .fold(0.0, f64::max)
         };
         // "intermediate tile count" is per-thread: the paper's 2048 tiles
-        // at 64 threads is 32·p. Accept 4p..64p on this machine.
-        let p = std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(1);
+        // at 64 threads is 32·p. Accept 4p..64p, with p the thread count
+        // the sweep ran at — its tile grid starts at p tiles (`tile_grid`),
+        // so the verdict follows from the CSV, not from this host.
+        let n_tiles = |r: &HashMap<String, String>| r["n_tiles"].parse::<u64>().unwrap();
+        let p = rows.iter().map(n_tiles).min().unwrap_or(1);
         let rec = best(&|r| {
             r["tiling"] == "FlopBalanced"
                 && r["schedule"] == "Dynamic"
-                && (4 * p..=64 * p).contains(&r["n_tiles"].parse::<u64>().unwrap())
+                && (4 * p..=64 * p).contains(&n_tiles(r))
         });
         let uniform = best(&|r| r["tiling"] == "Uniform");
         v.check(
@@ -172,14 +186,32 @@ fn main() {
         let d32 = gmean("dense", "32");
         let h8 = gmean("hash", "8");
         let h32 = gmean("hash", "32");
-        v.check(
-            "Fig.13: 8-bit markers hurt the dense accumulator (d8 ≥ d32)",
-            d8 >= d32 * 0.98,
+        // a ±2% band around parity is noise: an effect inside it neither
+        // reproduces nor refutes the claim
+        let hurt = if d8 > d32 * 1.02 {
+            "PASS"
+        } else if d8 < d32 * 0.98 {
+            "FAIL"
+        } else {
+            "NOT REPRODUCED"
+        };
+        v.report(
+            "Fig.13: 8-bit markers hurt the dense accumulator (d8 > d32 by more than 2%)",
+            hurt,
             format!("dense gmean: 8-bit {d8:.1} ms vs 32-bit {d32:.1} ms"),
         );
-        v.check(
+        // "comparatively robust" compares against the dense penalty, so it
+        // means nothing unless that penalty was reproduced
+        let robust = if hurt != "PASS" {
+            "NOT REPRODUCED (premise)"
+        } else if h8 / h32 <= d8 / d32 * 1.10 {
+            "PASS"
+        } else {
+            "FAIL"
+        };
+        v.report(
             "Fig.13: the hash accumulator is comparatively robust (h8/h32 ≤ d8/d32 + slack)",
-            h8 / h32 <= d8 / d32 * 1.10,
+            robust,
             format!("ratios: hash {:.3}, dense {:.3}", h8 / h32, d8 / d32),
         );
     } else {
@@ -270,7 +302,10 @@ fn main() {
         eprintln!("skipping Fig.14 (results/fig14.csv missing)");
     }
 
-    println!("\n{} claims passed, {} failed", v.passed, v.failed);
+    println!(
+        "\n{} claims passed, {} failed, {} not reproduced",
+        v.passed, v.failed, v.not_reproduced
+    );
     if v.failed > 0 {
         std::process::exit(1);
     }

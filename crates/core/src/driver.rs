@@ -1,83 +1,76 @@
-//! The masked-SpGEMM entry points for plain products: one product
-//! ([`spgemm`], [`crate::Executor::execute`], [`crate::plan::Plan`]) and
-//! a coalesced batch of products (the concurrent [`crate::Service`]).
+//! The masked-SpGEMM run: one frozen plan of `N` product nodes executed
+//! on the executor's pool. Every entry point goes through it — one
+//! product ([`spgemm`], [`crate::Executor::execute`], [`crate::Plan`]), a
+//! fused [`crate::PlanGraph`], and a coalesced batch of products (the
+//! concurrent [`crate::Service`]).
 //!
-//! Pipeline per product (all passes are `O(nnz)` or better):
+//! Pipeline per run (all passes are `O(nnz)` or better):
 //!
-//! 1. the symbolic phase — shape validation, Eq. 2 work estimation, tiling
-//!    and slot layout — captured in a `PlanCore` (built per call by
-//!    [`spgemm`], built *once* by [`crate::Executor::plan`] and reused
-//!    across calls);
+//! 1. the symbolic phase, frozen in a `PlanCore` (`crate::plan`; built
+//!    per call by [`spgemm`], built *once* by a plan and reused);
 //! 2. the parallel phase on the executor's persistent worker pool
-//!    ([`mspgemm_sched::WorkerPool`]): every tile claims its slot window
-//!    and the kernels write its rows straight into it;
-//! 3. the settle: degraded retry of any lost tile, then compaction into
-//!    the output CSR.
+//!    ([`mspgemm_sched::WorkerPool`]): a worker claims a tile, claims that
+//!    tile's slot window of every node, and runs the nodes in chain order,
+//!    each writing its rows straight into its window;
+//! 3. the settle: degraded retry of any lost tile, then compaction of
+//!    every output node into its CSR.
 //!
-//! # One engine, three callers
+//! A single product is the one-node plan: its tile claims one window (on
+//! the stack) and runs the row loop with no post-op wrapper. In a chain,
+//! node `j+1` reads the rows node `j` just wrote, cache-hot, in the same
+//! worker's window — sound because output row `i` reads only row `i` of
+//! `A`, and every node shares the row partition.
 //!
-//! Steps 2 and 3 are the tile-run engine (`crate::engine`), shared by
-//! three entry points that differ only in how they claim tiles:
-//!
-//! * a single product runs its tiles under the configured
-//!   [`Schedule`](mspgemm_sched::Schedule); each worker's accumulator lives
-//!   in its cross-run [`mspgemm_sched::WorkerScratch`], keyed by plan
-//!   identity, so it persists across every tile the worker claims — and,
-//!   under a reused plan, across every *run*;
-//! * a Service batch interleaves the tiles of many products into one pool
-//!   synchronisation (`WorkerPool::run_tiles_multi`); workers switch jobs
-//!   tile by tile, so accumulators are cached per job and per worker in
-//!   the plan's scratch instead;
-//! * a [`crate::PlanGraph`] runs every node of a chain per tile
-//!   (`crate::graph`).
-//!
-//! All three use the same slot layout, accumulator dispatch, row loop,
-//! recovery and compaction.
+//! Steps 2 and 3 run on the tile-run engine (`crate::engine`), in two
+//! claim shapes. A plan run claims its tiles under the configured
+//! [`Schedule`](mspgemm_sched::Schedule); a Service batch interleaves the
+//! tiles of many one-node plans into one pool synchronisation
+//! (`WorkerPool::run_tiles_multi`). Both run the same tile body and the
+//! same settle; they differ only in where a worker's accumulator is
+//! cached (see `TileBody`).
 //!
 //! # Output assembly
 //!
-//! The mask's hard bound `nnz(C[i,:]) ≤ nnz(M[i,:])` sizes the output
-//! `cols`/`vals` buffers at `nnz(M)` once; each tile claims its disjoint
-//! slot range through [`mspgemm_sched::DisjointSlots`] and the kernels
-//! write rows straight into their slots (zero steady-state allocation). A
-//! compaction pass then squeezes out the per-row slack and builds the
-//! final `row_ptr` — and when there is no slack the slot buffers *are*
-//! the output, with nothing copied at all. Under a reused plan the slot
-//! buffers survive across runs in the plan's `PlanScratch`, resized
-//! without clearing.
+//! The mask's hard bound `nnz(C[i,:]) ≤ nnz(M[i,:])` sizes each node's
+//! slot buffers at `nnz(M)` once; tiles write their rows straight into
+//! disjoint slot ranges ([`mspgemm_sched::DisjointSlots`]), and compaction
+//! squeezes out the per-row slack — or, with no slack, adopts the slots
+//! as the output. A reused plan keeps the buffers in its `PlanScratch`.
 //!
 //! # Fault tolerance
 //!
 //! Tile execution is panic-isolated (see `mspgemm_sched`): a kernel that
 //! unwinds loses only its own tile, and the engine retries each lost tile
 //! **once, serially, with the conservative configuration** — the vanilla
-//! saxpy kernel over a dense `u64`-marker accumulator — before giving up.
-//! All kernels accumulate each output row's products in the same `k`
-//! order, so a successful retry is bit-identical to what the original
-//! configuration would have produced. Only if the degraded retry *also*
-//! fails does the call surface [`SparseError::TileFailed`], naming the
-//! tile and its row range; internal invariant breaks surface as
-//! [`SparseError::Internal`]. A panic that escapes tile isolation inside
-//! the pool infrastructure poisons the executor —
-//! [`SparseError::ExecutorPoisoned`] — but never the process. Either way
-//! [`RunStats::retried_tiles`] / [`RunStats::failed_tiles`] make any
-//! degradation observable.
+//! saxpy kernel over a dense `u64`-marker accumulator, node by node in
+//! chain order, so a retried node's successors are rebuilt from its
+//! recovered output — before giving up. All kernels accumulate each
+//! output row's products in the same `k` order, so a successful retry is
+//! bit-identical to what the original configuration would have produced.
+//! Only if the degraded retry *also* fails does the call surface
+//! [`SparseError::TileFailed`], naming the tile and its row range;
+//! internal invariant breaks surface as [`SparseError::Internal`]. A panic
+//! that escapes tile isolation inside the pool infrastructure poisons the
+//! executor — [`SparseError::ExecutorPoisoned`] — but never the process.
+//! Either way [`RunStats::retried_tiles`] / [`RunStats::failed_tiles`]
+//! make any degradation observable.
 
+use crate::config::Config;
 use crate::engine::{
-    compact, dispatch, hash_slack, pool_error, recover, tile_outcome, AccVisitor, NoPost,
-    RetryStats, RowKernel, SlotBufs, TileAcc, TileLedger, TileSlots, TileWindow,
+    compact, compute_tile, dispatch, hash_slack, pool_error, recover, tile_outcome, AccVisitor,
+    NoPost, RetryStats, RowKernel, RowPost, SlotBufs, TileAcc, TileLedger, TileSlots, TileWindow,
 };
 use crate::executor::{Executor, ExecutorShared};
-use crate::plan::{PlanCore, PlanScratch};
-use crate::config::Config;
-use mspgemm_accum::{Accumulator, DenseAccumulator};
+use crate::kernels::RowRead;
+use crate::plan::{sole, Node, OperandRef, Outputs, PlanCore, PlanScratch, PostOpSpec};
+use mspgemm_accum::{Accumulator, DenseAccumulator, FusedOp, FusedStage};
 use mspgemm_rt::{failpoint, obs};
 use mspgemm_sched::{
-    CancelToken, MultiOutcome, MultiRun, PoolRunError, ThreadReport, TileFailure, WorkerPool,
-    WorkerScratch,
+    CancelToken, MultiOutcome, MultiRun, ThreadReport, TileFailure, WorkerPool, WorkerScratch,
 };
 use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
 use std::any::Any;
+use std::marker::PhantomData;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -96,9 +89,7 @@ pub struct RunStats {
     /// revalidation for [`crate::plan::Plan::execute`].
     pub setup: Duration,
     /// Wall time of the degraded serial retry pass (zero when no tile
-    /// failed). Previously this window was silently folded into
-    /// [`elapsed`](Self::elapsed), so a run that recovered from faults
-    /// looked slower than the configuration it was measuring.
+    /// failed), kept out of [`elapsed`](Self::elapsed).
     pub retry_elapsed: Duration,
     /// Per-thread execution reports (tiles run, busy time).
     pub thread_reports: Vec<ThreadReport>,
@@ -191,236 +182,310 @@ pub fn spgemm<S: Semiring>(
     Executor::global().execute::<S>(a, b, mask, config)
 }
 
-/// One prepared product: its frozen plan core and its operands.
-struct Product<'r, S: Semiring> {
-    core: &'r PlanCore,
-    a: &'r Csr<S::T>,
-    b: &'r Csr<S::T>,
-    mask: &'r Csr<S::T>,
+/// How a run builds its nodes' fused post-op chains. A product carries
+/// none ([`Plain`], which puts no bound on the element type); a graph's
+/// select-by-threshold needs `T: PartialOrd` ([`Fused`]).
+pub(crate) trait PostOps<T: Copy> {
+    type Stages<'p>: RowPost<T>
+    where
+        T: 'p;
+    /// Whether a run counts its nodes and post-ops as `fusion.ops_fused`.
+    const FUSED: bool;
+    /// The chain for `post`, or `None` when there is nothing to fuse.
+    fn stages<'p>(post: &[PostOpSpec<T>], inputs: &[&'p Csr<T>]) -> Option<Self::Stages<'p>>;
 }
 
-impl<S: Semiring> Clone for Product<'_, S> {
-    fn clone(&self) -> Self {
-        *self
+/// Post-ops of product plans: there are none to apply.
+pub(crate) enum Plain {}
+
+impl<T: Copy> PostOps<T> for Plain {
+    type Stages<'p> = NoPost where T: 'p;
+    const FUSED: bool = false;
+    fn stages(_: &[PostOpSpec<T>], _: &[&Csr<T>]) -> Option<NoPost> {
+        None
     }
 }
 
-impl<S: Semiring> Copy for Product<'_, S> {}
+/// Post-ops of graph plans, fused into the row sink. Patterns borrow the
+/// external inputs directly — they are co-iterated per row, never copied.
+pub(crate) enum Fused {}
 
-impl<'r, S: Semiring> Product<'r, S> {
-    /// Run `v` over this product's accumulator type.
-    fn dispatch<V: AccVisitor<S>>(&self, v: V) -> V::Out {
-        let core = self.core;
-        dispatch::<S, V>(
-            core.config.kernel.accumulator,
-            core.simd_probe,
-            self.b.ncols(),
-            core.max_row_entries,
-            v,
-        )
-    }
-
-    /// Adopt the plan's surviving slot buffers (or start fresh) and size
-    /// them for this product.
-    fn slot_bufs(&self, scratch: Option<&mut SlotBufs<S::T>>) -> SlotBufs<S::T> {
-        let mut bufs = scratch.map(std::mem::take).unwrap_or_default();
-        bufs.resize(self.core.layout.bound, self.a.nrows(), S::zero());
-        bufs
-    }
-
-    /// One tile of the parallel phase, into its claimed window.
-    fn compute<A: Accumulator<S>>(
-        &self,
-        w: &mut TileWindow<'_, S::T>,
-        ta: &mut TileAcc<S, A>,
-        make_full: &impl Fn() -> A,
-    ) -> u64 {
-        let core = self.core;
-        let k = RowKernel {
-            iteration: core.config.kernel.iteration,
-            simd: core.simd,
-            overbook_limit: core.overbook_row_entries,
+impl<T: Copy + PartialOrd> PostOps<T> for Fused {
+    type Stages<'p> = Vec<FusedStage<'p, T>> where T: 'p;
+    const FUSED: bool = true;
+    fn stages<'p>(post: &[PostOpSpec<T>], inputs: &[&'p Csr<T>]) -> Option<Self::Stages<'p>> {
+        let stage = |p: &PostOpSpec<T>| {
+            FusedStage::new(match *p {
+                PostOpSpec::SelectGe(t) => FusedOp::SelectGe(t),
+                PostOpSpec::Fill(v) => FusedOp::Fill(v),
+                PostOpSpec::Intersect(e) => FusedOp::Intersect(inputs[e]),
+                PostOpSpec::Subtract(e) => FusedOp::Subtract(inputs[e]),
+            })
         };
-        crate::engine::compute_tile(w, k, self.a, self.b, self.mask, &mut NoPost, ta, make_full)
-    }
-
-    /// Recover lost tiles, then compact — the settle every product runs.
-    fn settle(
-        &self,
-        ledger: TileLedger,
-        failures: &[TileFailure],
-        cancel: Option<&CancelToken>,
-        mut bufs: SlotBufs<S::T>,
-        par: Option<(&WorkerPool, usize)>,
-        scratch: Option<&mut SlotBufs<S::T>>,
-    ) -> Result<(Csr<S::T>, RetryStats), SparseError> {
-        let (core, ncols) = (self.core, self.b.ncols());
-        let retry = recover(&core.tiles, ledger, failures, cancel, |t| {
-            let mut ta = TileAcc::new(DenseAccumulator::<S, u64>::new(ncols));
-            let mut w = core.layout.window(&core.tiles, t, &mut bufs);
-            crate::engine::compute_tile(
-                &mut w,
-                RowKernel::RETRY,
-                self.a,
-                self.b,
-                self.mask,
-                &mut NoPost,
-                &mut ta,
-                &|| DenseAccumulator::<S, u64>::new(ncols),
-            );
-        })?;
-        let shape = (self.a.nrows(), ncols);
-        let c = compact::<S>(&core.tiles, &core.layout, shape, bufs, par, scratch)?;
-        Ok((c, retry))
-    }
-
-    /// `(estimated_work, n_tiles, n_threads)` for [`RunStats::new`].
-    fn work(&self, n_threads: usize) -> (u64, usize, usize) {
-        (self.core.estimated_work, self.core.tiles.len(), n_threads)
+        (!post.is_empty()).then(|| post.iter().map(stage).collect())
     }
 }
 
-/// Execute a prepared plan core on an executor: the single-product path
-/// behind [`spgemm`], [`crate::Executor::execute`] and
-/// [`crate::plan::Plan::execute`]. Holds the executor's run lock for the
-/// whole run so per-run metric deltas never interleave.
+/// One node's rows of one tile, reading `A` through `a`. A node without
+/// post-ops runs through [`NoPost`], the plain slot write — so a single
+/// product's tile is exactly the unfused row loop.
+fn node_tile<S, P, A, R, G>(
+    node: &Node<S::T>,
+    inputs: &[&Csr<S::T>],
+    a: &R,
+    w: &mut TileWindow<'_, S::T>,
+    k: RowKernel,
+    ta: &mut TileAcc<S, A>,
+    make_full: &G,
+) -> u64
+where
+    S: Semiring,
+    P: PostOps<S::T>,
+    A: Accumulator<S>,
+    R: RowRead<S::T> + ?Sized,
+    G: Fn() -> A,
+{
+    let (b, mask) = (inputs[node.b], inputs[node.mask]);
+    match P::stages(&node.post, inputs) {
+        Some(mut stages) => compute_tile(w, k, a, b, mask, &mut stages, ta, make_full),
+        None => compute_tile(w, k, a, b, mask, &mut NoPost, ta, make_full),
+    }
+}
+
+/// Run every node of one tile in chain order, each into its window of
+/// `windows`. A node whose `A` is an earlier node reads that node's
+/// window — written moments ago by this same call, so cache-resident.
+/// Returns the tile's overbook spills.
+fn run_chain<S, P, A, G>(
+    core: &PlanCore<S::T>,
+    inputs: &[&Csr<S::T>],
+    windows: &mut [TileWindow<'_, S::T>],
+    k: RowKernel,
+    ta: &mut TileAcc<S, A>,
+    make_full: &G,
+) -> u64
+where
+    S: Semiring,
+    P: PostOps<S::T>,
+    A: Accumulator<S>,
+    G: Fn() -> A,
+{
+    let mut spills = 0;
+    for (ni, node) in core.nodes.iter().enumerate() {
+        let (done, rest) = windows.split_at_mut(ni);
+        let Some(w) = rest.first_mut() else { break };
+        spills += match node.a {
+            OperandRef::Ext(e) => {
+                node_tile::<S, P, _, _, _>(node, inputs, inputs[e], w, k, ta, make_full)
+            }
+            OperandRef::Node(j) => {
+                node_tile::<S, P, _, _, _>(node, inputs, &done[j], w, k, ta, make_full)
+            }
+        };
+    }
+    spills
+}
+
+/// One tile of the parallel phase — the protocol every tile body shares:
+/// fire `tile-kernel` once per node (key `ni * n_tiles + t`, so `t` for a
+/// single product), leave a tile the watchdog abandoned to the settle,
+/// claim the tile's window of every node, run `body` on them, and close
+/// the tile in the ledger with the spills `body` reports (`None` leaves
+/// it missing for the settle). A single product's window lives on the
+/// stack: the one-node path allocates nothing per tile.
+fn run_tile<'b, T>(
+    n_tiles: usize,
+    slots: &[TileSlots<'b, T>],
+    ledger: &TileLedger,
+    ws: &mut WorkerScratch,
+    t: usize,
+    body: impl FnOnce(&mut WorkerScratch, &mut [TileWindow<'b, T>]) -> Option<u64>,
+) {
+    for ni in 0..slots.len() {
+        // decorrelate per-node failures under fault injection
+        failpoint::maybe_fire(failpoint::TILE_KERNEL, (ni * n_tiles + t) as u64);
+    }
+    if ws.current_tile_abandoned() {
+        // the watchdog already handed this tile to the degraded serial
+        // path; leave it uncompleted and let the settle own it
+        return;
+    }
+    let spills = if let [only] = slots {
+        let Some(mut w) = only.claim(t, ledger) else { return };
+        body(ws, std::slice::from_mut(&mut w))
+    } else {
+        let mut windows = Vec::with_capacity(slots.len());
+        for s in slots {
+            let Some(w) = s.claim(t, ledger) else { return };
+            windows.push(w);
+        }
+        let spills = body(ws, &mut windows);
+        obs::add(obs::Counter::FusionTilesChained, slots.len().saturating_sub(1) as u64);
+        spills
+    };
+    if let Some(spills) = spills {
+        ledger.finish(ws, t, spills);
+    }
+}
+
+/// Size one slot buffer per node for `core` (a no-op on a reused
+/// same-structure plan) and split them into one run's claim-once views.
+fn tile_slots<'b, S: Semiring>(
+    core: &'b PlanCore<S::T>,
+    bufs: &'b mut Vec<SlotBufs<S::T>>,
+) -> Result<Vec<TileSlots<'b, S::T>>, SparseError> {
+    bufs.resize_with(core.nodes.len(), SlotBufs::default);
+    bufs.iter_mut()
+        .zip(&core.layouts)
+        .map(|(nb, layout)| {
+            nb.resize(layout.bound, core.nrows, S::zero());
+            TileSlots::new(nb, layout)
+        })
+        .collect()
+}
+
+/// Run `v` over the plan's accumulator type.
+fn dispatch_core<S: Semiring, V: AccVisitor<S>>(core: &PlanCore<S::T>, v: V) -> V::Out {
+    let kind = core.config.kernel.accumulator;
+    dispatch::<S, V>(kind, core.simd_probe, core.max_ncols, core.max_row_entries, v)
+}
+
+/// Settle a run after its parallel phase: recover every lost tile through
+/// the whole chain in the conservative configuration, then compact each
+/// output node (in node order), handing its slot buffers back to `bufs`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_plan<S: Semiring>(
-    exec: &ExecutorShared,
-    core: &PlanCore,
-    scratch: Option<&mut PlanScratch<S>>,
+fn settle<S: Semiring, P: PostOps<S::T>>(
+    core: &PlanCore<S::T>,
+    inputs: &[&Csr<S::T>],
+    ledger: TileLedger,
+    failures: &[TileFailure],
     cancel: Option<&CancelToken>,
-    a: &Csr<S::T>,
-    b: &Csr<S::T>,
-    mask: &Csr<S::T>,
+    bufs: &mut [SlotBufs<S::T>],
+    par: Option<(&WorkerPool, usize)>,
+) -> Outputs<S::T, RetryStats> {
+    let retry = recover(&core.tiles, ledger, failures, cancel, |t| {
+        let mut windows: Vec<TileWindow<'_, S::T>> =
+            bufs.iter_mut().zip(&core.layouts).map(|(nb, layout)| layout.window(t, nb)).collect();
+        let make_full = || DenseAccumulator::<S, u64>::new(core.max_ncols);
+        let mut ta = TileAcc::new(make_full());
+        run_chain::<S, P, _, _>(core, inputs, &mut windows, RowKernel::RETRY, &mut ta, &make_full);
+    })?;
+    let mut outputs = Vec::new();
+    for ((node, layout), nb) in core.nodes.iter().zip(&core.layouts).zip(bufs) {
+        if node.output {
+            let shape = (core.nrows, inputs[node.b].ncols());
+            let slots = std::mem::take(nb);
+            outputs.push(compact::<S>(&core.tiles, layout, shape, slots, par, Some(nb))?);
+        }
+    }
+    Ok((outputs, retry))
+}
+
+/// Execute a frozen plan on an executor: the run behind every entry point
+/// except Service batches. Holds the executor's run lock for the whole
+/// run so per-run metric deltas never interleave; compacts on the pool
+/// once an output reaches `MSPGEMM_COMPACT_PAR_MIN` bytes. Inside the
+/// metrics window every run counts `driver.runs`, a kept plan's run
+/// (`planned`) `exec.plan_executes`, and a graph's its fused ops.
+pub(crate) fn run<S: Semiring, P: PostOps<S::T>>(
+    exec: &ExecutorShared,
+    core: &PlanCore<S::T>,
+    scratch: &mut PlanScratch<S>,
+    inputs: &[&Csr<S::T>],
+    cancel: Option<&CancelToken>,
     setup: Duration,
-) -> Result<(Csr<S::T>, RunStats), SparseError> {
+    planned: bool,
+) -> Outputs<S::T, RunStats> {
     let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
     let before = obs::armed().then(obs::snapshot);
     obs::incr(obs::Counter::DriverRuns);
+    if planned {
+        obs::incr(obs::Counter::ExecPlanExecutes);
+    }
+    if P::FUSED {
+        let n_post: usize = core.nodes.iter().map(|n| n.post.len()).sum();
+        obs::add(obs::Counter::FusionOpsFused, (core.nodes.len() + n_post) as u64);
+    }
 
     let start = Instant::now();
     note_overbook_savings::<S>(core);
-    let job = Product::<S> { core, a, b, mask };
-    let mut scratch = scratch.map(|s| &mut s.slots);
-    let mut bufs = job.slot_bufs(scratch.as_deref_mut());
     let ledger = TileLedger::new(core.tiles.len());
     let outcome = {
-        let slots = TileSlots::new(&mut bufs, &core.layout, &core.tiles, &core.row_ranges)?;
-        job.dispatch(SingleRun { pool: &exec.pool, job, slots: &slots, ledger: &ledger, cancel })
+        let slots = tile_slots::<S>(core, &mut scratch.slots)?;
+        let body = TileBody::<S, P> {
+            core,
+            inputs,
+            slots: &slots,
+            ledger: &ledger,
+            cells: None,
+            post: PhantomData,
+        };
+        let body = dispatch_core::<S, _>(core, body);
+        let (n_tiles, schedule) = (core.tiles.len(), core.config.schedule);
+        exec.pool.run_tiles_cancellable(core.n_threads, n_tiles, schedule, cancel, &*body)
     };
     let (reports, failures) = tile_outcome(outcome)?;
     let par = Some((&exec.pool, core.n_threads));
-    let (c, retry) = job.settle(ledger, &failures, cancel, bufs, par, scratch)?;
+    let (outputs, retry) =
+        settle::<S, P>(core, inputs, ledger, &failures, cancel, &mut scratch.slots, par)?;
+    let output_nnz = outputs.iter().map(|c| c.nnz()).sum();
     let metrics = before.map(|b| obs::snapshot().delta_since(&b));
-    let stats = RunStats::new(
-        start.elapsed(),
-        setup,
-        retry,
-        reports,
-        c.nnz(),
-        job.work(core.n_threads),
-        metrics,
-    );
-    Ok((c, stats))
+    let work = (core.estimated_work, core.tiles.len(), core.n_threads);
+    let stats = RunStats::new(start.elapsed(), setup, retry, reports, output_nnz, work, metrics);
+    Ok((outputs, stats))
 }
 
-/// The single-product parallel phase: the product's tiles under its
-/// configured schedule, honouring `cancel`.
-struct SingleRun<'r, S: Semiring> {
-    pool: &'r WorkerPool,
-    job: Product<'r, S>,
-    slots: &'r TileSlots<'r, S::T>,
-    ledger: &'r TileLedger,
-    cancel: Option<&'r CancelToken>,
-}
-
-impl<S: Semiring> AccVisitor<S> for SingleRun<'_, S> {
-    type Out = Result<Vec<ThreadReport>, PoolRunError>;
-
-    fn visit<A, F>(self, make: F) -> Self::Out
-    where
-        A: Accumulator<S> + 'static,
-        F: Fn(usize) -> A + Copy + Send + Sync + 'static,
-    {
-        let core = self.job.core;
-        let (overbook, full) = (core.overbook_row_entries, core.max_row_entries);
-        let n_tiles = core.tiles.len();
-        self.pool.run_tiles_cancellable(
-            core.n_threads,
-            n_tiles,
-            core.config.schedule,
-            self.cancel,
-            |_, ws, t| {
-                failpoint::maybe_fire(failpoint::TILE_KERNEL, t as u64);
-                if ws.current_tile_abandoned() {
-                    // the watchdog already handed this tile to the degraded
-                    // serial path; leave it uncompleted and let settle own it
-                    return;
-                }
-                let Some(mut w) = self.slots.claim(t, self.ledger) else { return };
-                // worker-persistent accumulators, keyed by plan identity:
-                // they survive every tile this worker claims *and* — under
-                // a reused plan — every run of the plan. The table is sized
-                // at the plan's overbooked bound; spill rebuilds use the
-                // hard bound.
-                let ta = ws.get_or_build(core.plan_id, || TileAcc::new(make(overbook)));
-                let spills = self.job.compute(&mut w, ta, &|| make(full));
-                self.ledger.finish(ws, t, spills);
-            },
-        )
-    }
-}
-
-/// One prepared product inside a [`run_plan_batch`] call: a plan core,
-/// its operands and cross-run scratch, plus the fairness weight the
+/// One prepared product inside a [`run_batch`] call: a one-node plan
+/// core, its operands and cross-run scratch, plus the fairness weight the
 /// multiplexed tile interleave gives this job.
 pub(crate) struct BatchJob<'r, S: Semiring> {
-    pub(crate) core: &'r PlanCore,
-    pub(crate) a: &'r Csr<S::T>,
-    pub(crate) b: &'r Csr<S::T>,
-    pub(crate) mask: &'r Csr<S::T>,
-    pub(crate) scratch: Option<&'r mut PlanScratch<S>>,
+    pub(crate) core: &'r PlanCore<S::T>,
+    /// The product's inputs `[A, B, M]`.
+    pub(crate) inputs: [&'r Csr<S::T>; 3],
+    pub(crate) scratch: &'r mut PlanScratch<S>,
     /// Tiles this job contributes per round of the interleaved claim
     /// order (see [`mspgemm_sched::MultiRun::weight`]).
     pub(crate) weight: u32,
     /// Symbolic-phase wall time attributed to this job (plan lookup /
     /// preparation on the submitter side), reported in its `RunStats`.
     pub(crate) setup: Duration,
-    /// Cooperative cancellation for this job alone: when the token fires
+    /// Cooperative cancellation for this job alone: once the token fires
     /// (client cancel or enforced deadline) the claim loop stops issuing
-    /// this job's tiles and the settle reports
-    /// [`SparseError::Cancelled`] / [`SparseError::DeadlineExceeded`]
-    /// instead of finishing the product. Sibling jobs are untouched.
+    /// its tiles and the settle reports [`SparseError::Cancelled`] /
+    /// [`SparseError::DeadlineExceeded`]. Sibling jobs are untouched.
     pub(crate) cancel: Option<&'r CancelToken>,
 }
 
-impl<'r, S: Semiring> BatchJob<'r, S> {
-    fn product(&self) -> Product<'r, S> {
-        Product { core: self.core, a: self.a, b: self.b, mask: self.mask }
-    }
-}
+/// One worker's accumulator cell of one batch job (see [`TileBody`]).
+type AccCell = Mutex<Option<Box<dyn Any + Send>>>;
 
-/// Per-worker accumulator cells of one batch job (see [`BatchBody`]).
-type AccCells = Vec<Mutex<Option<Box<dyn Any + Send>>>>;
+/// A batch job's slot buffers and accumulator cells, leased from its plan.
+type Lease<T> = (Vec<SlotBufs<T>>, Vec<AccCell>);
 
-/// One job's type-erased tile body for the multiplexed run. Unlike the
-/// single-product path, the accumulator cannot live in the worker's
-/// [`WorkerScratch`] — that cache has exactly one slot, and workers
-/// interleave tiles from *different* jobs, so parking per-job state there
-/// would rebuild it on every job switch. Each job instead reads a
-/// per-worker accumulator cell from its plan scratch
+/// The type-erased tile body of one plan core: [`run_tile`] around the
+/// chain loop, over a worker accumulator sized at the plan's overbooked
+/// bound (spill rebuilds use the hard bound).
+///
+/// A plan run keeps each worker's accumulator in its cross-run
+/// [`WorkerScratch`], keyed by plan identity: it survives every tile the
+/// worker claims *and* — under a reused plan — every run of the plan. A
+/// Service batch cannot: workers interleave tiles of *different* jobs,
+/// and the worker scratch has exactly one slot, so parking per-job state
+/// there would rebuild it on every job switch. Each batch job instead
+/// reads a per-worker cell (`cells`) from its plan scratch
 /// (`PlanScratch::accums`), built lazily on the worker's first tile of
-/// this job and *persisted across runs* of the leased plan. A stale or
+/// the job and *persisted across runs* of the leased plan. A stale or
 /// poisoned cell is rebuilt from clean (see [`lock_cell`]).
-struct BatchBody<'x, S: Semiring> {
-    job: Product<'x, S>,
-    slots: &'x TileSlots<'x, S::T>,
+struct TileBody<'x, S: Semiring, P> {
+    core: &'x PlanCore<S::T>,
+    inputs: &'x [&'x Csr<S::T>],
+    slots: &'x [TileSlots<'x, S::T>],
     ledger: &'x TileLedger,
-    accs: &'x [Mutex<Option<Box<dyn Any + Send>>>],
+    cells: Option<&'x [AccCell]>,
+    post: PhantomData<fn() -> P>,
 }
 
-impl<'x, S: Semiring> AccVisitor<S> for BatchBody<'x, S> {
+impl<'x, S: Semiring, P: PostOps<S::T>> AccVisitor<S> for TileBody<'x, S, P> {
     type Out = Box<dyn Fn(usize, &mut WorkerScratch, usize) + Sync + 'x>;
 
     fn visit<A, F>(self, make: F) -> Self::Out
@@ -428,20 +493,25 @@ impl<'x, S: Semiring> AccVisitor<S> for BatchBody<'x, S> {
         A: Accumulator<S> + 'static,
         F: Fn(usize) -> A + Copy + Send + Sync + 'static,
     {
-        let core = self.job.core;
+        let core = self.core;
         let (overbook, full) = (core.overbook_row_entries, core.max_row_entries);
+        let iteration = core.config.kernel.iteration;
+        let k = RowKernel { iteration, simd: core.simd, overbook_limit: overbook };
         Box::new(move |worker, ws, t| {
-            failpoint::maybe_fire(failpoint::TILE_KERNEL, t as u64);
-            if ws.current_tile_abandoned() {
-                return;
-            }
-            let Some(mut w) = self.slots.claim(t, self.ledger) else { return };
-            let mut cell = lock_cell(&self.accs[worker % self.accs.len()]);
-            // `None` is unreachable (the cell was just filled); bailing
-            // leaves the tile uncompleted, which the settle repairs
-            let Some(ta) = cached(&mut cell, || TileAcc::new(make(overbook))) else { return };
-            let spills = self.job.compute(&mut w, ta, &|| make(full));
-            self.ledger.finish(ws, t, spills);
+            run_tile(core.tiles.len(), self.slots, self.ledger, ws, t, |ws, windows| {
+                let build = || TileAcc::new(make(overbook));
+                let mut cell;
+                let ta = match self.cells {
+                    None => ws.get_or_build(core.plan_id, build),
+                    Some(cells) => {
+                        cell = lock_cell(&cells[worker % cells.len()]);
+                        // `None` is unreachable (the cell was just filled);
+                        // bailing leaves the tile missing for the settle
+                        cached(&mut cell, build)?
+                    }
+                };
+                Some(run_chain::<S, P, _, _>(core, self.inputs, windows, k, ta, &|| make(full)))
+            })
         })
     }
 }
@@ -450,9 +520,7 @@ impl<'x, S: Semiring> AccVisitor<S> for BatchBody<'x, S> {
 /// analogue of `WorkerScratch::get_or_build`), rebuilding it when the
 /// cell is empty, holds a stale type, or was poisoned by a tile that
 /// panicked mid-update.
-fn lock_cell(
-    cell: &Mutex<Option<Box<dyn Any + Send>>>,
-) -> MutexGuard<'_, Option<Box<dyn Any + Send>>> {
+fn lock_cell(cell: &AccCell) -> MutexGuard<'_, Option<Box<dyn Any + Send>>> {
     cell.lock().unwrap_or_else(|poisoned| {
         cell.clear_poison();
         let mut guard = poisoned.into_inner();
@@ -490,7 +558,7 @@ fn cached<T: Any + Send>(
 /// parallel window plus the job's own serial settle, and `metrics` is
 /// `None` (process-global counter deltas cannot be split across
 /// multiplexed jobs).
-pub(crate) fn run_plan_batch<S: Semiring>(
+pub(crate) fn run_batch<S: Semiring>(
     exec: &ExecutorShared,
     mut jobs: Vec<BatchJob<'_, S>>,
 ) -> Vec<Result<(Csr<S::T>, RunStats), SparseError>> {
@@ -498,62 +566,57 @@ pub(crate) fn run_plan_batch<S: Semiring>(
     let n_threads = jobs.iter().map(|j| j.core.n_threads).max().unwrap_or(1).max(1);
     // slot buffers and accumulator cells are leased from each job's plan
     // scratch so a cached plan re-executes without rebuilding them
-    let mut bufs = Vec::with_capacity(jobs.len());
-    let mut cells: Vec<AccCells> = Vec::with_capacity(jobs.len());
-    for job in &mut jobs {
-        obs::incr(obs::Counter::DriverRuns);
-        note_overbook_savings::<S>(job.core);
-        let product = job.product();
-        let scratch = job.scratch.as_deref_mut();
-        let (slots, mut grid) = match scratch {
-            Some(s) => (product.slot_bufs(Some(&mut s.slots)), std::mem::take(&mut s.accums)),
-            None => (product.slot_bufs(None), Vec::new()),
-        };
-        if grid.len() < n_threads {
-            grid.resize_with(n_threads, || Mutex::new(None));
-        }
-        bufs.push(slots);
-        cells.push(grid);
-    }
+    let mut leases: Vec<Lease<S::T>> = jobs
+        .iter_mut()
+        .map(|job| {
+            obs::incr(obs::Counter::DriverRuns);
+            note_overbook_savings::<S>(job.core);
+            let bufs = std::mem::take(&mut job.scratch.slots);
+            let mut cells = std::mem::take(&mut job.scratch.accums);
+            if cells.len() < n_threads {
+                cells.resize_with(n_threads, || Mutex::new(None));
+            }
+            (bufs, cells)
+        })
+        .collect();
     let ledgers: Vec<TileLedger> =
         jobs.iter().map(|j| TileLedger::new(j.core.tiles.len())).collect();
 
     let par_start = Instant::now();
-    let outcome = multiplex(&exec.pool, &jobs, &mut bufs, &ledgers, &cells, n_threads);
+    let outcome = multiplex(&exec.pool, &jobs, &mut leases, &ledgers, n_threads);
     let par_elapsed = par_start.elapsed();
 
     let results = match outcome {
         Err(e) => jobs.iter().map(|_| Err(e.clone())).collect(),
         Ok(out) => jobs
-            .iter_mut()
-            .zip(bufs)
+            .iter()
+            .zip(&mut leases)
             .zip(ledgers)
             .zip(&out.failures)
-            .map(|(((job, bufs), ledger), failures)| {
+            .map(|(((job, (bufs, _)), ledger), failures)| {
                 let settle_start = Instant::now();
-                let product = job.product();
-                let scratch = job.scratch.as_deref_mut().map(|s| &mut s.slots);
-                let (c, retry) =
-                    product.settle(ledger, failures, job.cancel, bufs, None, scratch)?;
+                let (core, inputs) = (job.core, &job.inputs[..]);
+                let (c, retry) = sole(settle::<S, Plain>(
+                    core, inputs, ledger, failures, job.cancel, bufs, None,
+                ))?;
                 let stats = RunStats::new(
                     par_elapsed + settle_start.elapsed(),
                     job.setup,
                     retry,
                     out.reports.clone(),
                     c.nnz(),
-                    product.work(n_threads),
+                    (core.estimated_work, core.tiles.len(), n_threads),
                     None,
                 );
                 Ok((c, stats))
             })
             .collect(),
     };
-    // hand the accumulator cells back on every outcome path: a failed
-    // batch must not cost the cached plan its accumulators
-    for (job, grid) in jobs.iter_mut().zip(cells) {
-        if let Some(s) = job.scratch.as_deref_mut() {
-            s.accums = grid;
-        }
+    // hand the leases back on every outcome path: a failed batch must not
+    // cost the cached plan its buffers and accumulators
+    for (job, (bufs, cells)) in jobs.iter_mut().zip(leases) {
+        job.scratch.slots = bufs;
+        job.scratch.accums = cells;
     }
     results
 }
@@ -563,24 +626,25 @@ pub(crate) fn run_plan_batch<S: Semiring>(
 fn multiplex<S: Semiring>(
     pool: &WorkerPool,
     jobs: &[BatchJob<'_, S>],
-    bufs: &mut [SlotBufs<S::T>],
+    leases: &mut [Lease<S::T>],
     ledgers: &[TileLedger],
-    cells: &[AccCells],
     n_threads: usize,
 ) -> Result<MultiOutcome, SparseError> {
-    let slots = jobs
-        .iter()
-        .zip(bufs.iter_mut())
-        .map(|(j, b)| TileSlots::new(b, &j.core.layout, &j.core.tiles, &j.core.row_ranges))
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut slots = Vec::with_capacity(jobs.len());
+    let mut cells = Vec::with_capacity(jobs.len());
+    for (job, (bufs, accs)) in jobs.iter().zip(leases.iter_mut()) {
+        slots.push(tile_slots::<S>(job.core, bufs)?);
+        cells.push(&accs[..]);
+    }
     let bodies: Vec<_> = jobs
         .iter()
         .zip(&slots)
         .zip(ledgers)
         .zip(cells)
         .map(|(((job, slots), ledger), accs)| {
-            let product = job.product();
-            product.dispatch(BatchBody { job: product, slots, ledger, accs })
+            let (inputs, cells, post) = (&job.inputs[..], Some(accs), PhantomData);
+            let body = TileBody::<S, Plain> { core: job.core, inputs, slots, ledger, cells, post };
+            dispatch_core::<S, _>(job.core, body)
         })
         .collect();
     let runs: Vec<MultiRun<'_>> = jobs
@@ -600,7 +664,7 @@ fn multiplex<S: Semiring>(
 /// the power-of-two table shrink times one entry (32-bit key + value +
 /// the common 32-bit mark) times the worker count. A no-op unless the
 /// plan actually overbooked below the hard bound.
-fn note_overbook_savings<S: Semiring>(core: &PlanCore) {
+fn note_overbook_savings<S: Semiring>(core: &PlanCore<S::T>) {
     if core.overbook_row_entries >= core.max_row_entries {
         return;
     }

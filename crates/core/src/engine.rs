@@ -1,11 +1,11 @@
 //! The tile-run engine: the per-tile machinery every masked-product entry
 //! point shares.
 //!
-//! A single product ([`crate::spgemm`], plans, sessions), a coalesced
-//! Service batch and a fused [`crate::PlanGraph`] differ only in how they
-//! claim tiles — one product under its configured `Schedule`, many
-//! products interleaved by `WorkerPool::run_tiles_multi`, or a chain of
-//! nodes per tile. Everything else is this module:
+//! Every entry point runs a frozen plan of product nodes (a single
+//! product is the one-node plan), and plans differ only in how their
+//! tiles are claimed — one plan's chain of nodes per tile under its
+//! configured `Schedule`, or many one-node plans interleaved by
+//! `WorkerPool::run_tiles_multi`. Everything else is this module:
 //!
 //! * [`SlotLayout`] — the mask-bound slot layout of one product over a row
 //!   partition, and [`SlotBufs`], the slot buffers it describes;
@@ -44,6 +44,8 @@ use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
 /// since `nnz(C[i,:]) ≤ nnz(M[i,:])` — so tile `t` owns one contiguous
 /// slot window and writes it without synchronisation.
 pub(crate) struct SlotLayout {
+    /// Per-tile `[lo, hi)` row windows (the tiles, in tuple form).
+    pub(crate) row_ranges: Vec<(usize, usize)>,
     /// Per-tile `[lo, hi)` windows of the slot buffers.
     pub(crate) slot_ranges: Vec<(usize, usize)>,
     /// Rows with at least one mask entry, as `(row, absolute slot
@@ -77,7 +79,8 @@ impl SlotLayout {
             slot_ranges.push((lo, bound));
             nonempty_ranges.push((ne_lo, nonempty.len()));
         }
-        SlotLayout { slot_ranges, nonempty, nonempty_ranges, bound }
+        let row_ranges = tiles.iter().map(|t| (t.lo, t.hi)).collect();
+        SlotLayout { row_ranges, slot_ranges, nonempty, nonempty_ranges, bound }
     }
 
     /// Tile `t`'s nonempty mask rows.
@@ -86,22 +89,17 @@ impl SlotLayout {
         &self.nonempty[lo..hi]
     }
 
-    /// Tile `t`'s window carved directly out of `bufs` — the serial
+    /// Tile `t`'s window carved directly out of `buf` — the serial
     /// retry's view of the same slots the parallel phase claims.
-    pub(crate) fn window<'w, T>(
-        &'w self,
-        tiles: &[Tile],
-        t: usize,
-        bufs: &'w mut SlotBufs<T>,
-    ) -> TileWindow<'w, T> {
-        let (tile, (slo, shi)) = (tiles[t], self.slot_ranges[t]);
+    pub(crate) fn window<'w, T>(&'w self, t: usize, buf: &'w mut SlotBufs<T>) -> TileWindow<'w, T> {
+        let ((lo, hi), (slo, shi)) = (self.row_ranges[t], self.slot_ranges[t]);
         TileWindow {
-            row_lo: tile.lo,
+            row_lo: lo,
             rows: self.tile_rows(t),
             slot_lo: slo,
-            cols: &mut bufs.cols[slo..shi],
-            vals: &mut bufs.vals[slo..shi],
-            nnz: &mut bufs.nnz[tile.lo..tile.hi],
+            cols: &mut buf.cols[slo..shi],
+            vals: &mut buf.vals[slo..shi],
+            nnz: &mut buf.nnz[lo..hi],
         }
     }
 }
@@ -169,24 +167,20 @@ pub(crate) struct TileSlots<'b, T> {
     vals: DisjointSlots<'b, T>,
     nnz: DisjointSlots<'b, u32>,
     layout: &'b SlotLayout,
-    tiles: &'b [Tile],
 }
 
 impl<'b, T> TileSlots<'b, T> {
-    /// Split `bufs` along `layout`; `row_ranges` mirrors `tiles`.
+    /// Split `bufs` along `layout`.
     pub(crate) fn new(
         bufs: &'b mut SlotBufs<T>,
         layout: &'b SlotLayout,
-        tiles: &'b [Tile],
-        row_ranges: &'b [(usize, usize)],
     ) -> Result<Self, SparseError> {
         let internal = |detail| SparseError::Internal { detail };
         Ok(TileSlots {
             cols: DisjointSlots::new(&mut bufs.cols, &layout.slot_ranges).map_err(internal)?,
             vals: DisjointSlots::new(&mut bufs.vals, &layout.slot_ranges).map_err(internal)?,
-            nnz: DisjointSlots::new(&mut bufs.nnz, row_ranges).map_err(internal)?,
+            nnz: DisjointSlots::new(&mut bufs.nnz, &layout.row_ranges).map_err(internal)?,
             layout,
-            tiles,
         })
     }
 
@@ -202,7 +196,7 @@ impl<'b, T> TileSlots<'b, T> {
             return None;
         };
         Some(TileWindow {
-            row_lo: self.tiles[t].lo,
+            row_lo: self.layout.row_ranges[t].0,
             rows: self.layout.tile_rows(t),
             slot_lo: self.layout.slot_ranges[t].0,
             cols,
@@ -623,17 +617,19 @@ where
                 &mut w.vals[base..base + width],
                 i,
             );
-            {
+            let attempt = {
                 let mut sink = post.wrap(i, &mut slot);
                 run_row::<S, A, R, _>(
                     i, k.iteration, k.simd, a, b, mask_cols, acc, &mut hstats, &mut sink,
                 );
-                fused += P::fused(&sink);
-            }
+                P::fused(&sink)
+            };
             n = slot.written();
             // the latch *is* the overflow detector: a row that outgrew
             // the overbooked table dropped entries above — redo it below
+            // (and count its fused elements from the redo alone)
             spill = acc.take_overflow();
+            fused += if spill { 0 } else { attempt };
         }
         if spill {
             failpoint::maybe_fire(failpoint::OVERBOOK_SPILL, i as u64);
@@ -773,10 +769,10 @@ fn compact_par_min() -> usize {
 /// `scratch` for the caller's next run.
 ///
 /// `par` schedules the squeeze on a pool (`(pool, n_threads)`) once the
-/// output reaches `MSPGEMM_COMPACT_PAR_MIN` bytes. Single products pass
-/// their pool; batch jobs and graph outputs compact serially — nesting a
-/// pool run inside a settle would serialize against the very
-/// synchronisation those paths amortise.
+/// output reaches `MSPGEMM_COMPACT_PAR_MIN` bytes. Plan runs (products
+/// and graph outputs) pass their pool; batch jobs compact serially —
+/// nesting a pool run inside a batch settle would serialize against the
+/// very synchronisation the batch amortises.
 pub(crate) fn compact<S: Semiring>(
     tiles: &[Tile],
     layout: &SlotLayout,

@@ -21,17 +21,16 @@
 //! isolation — scheduler-infrastructure failure — poisons the pool, after
 //! which every call returns [`SparseError::ExecutorPoisoned`].
 //!
-//! The classic free functions ([`crate::driver::spgemm`] and the
-//! deprecated shims) are thin wrappers over a lazily-created process-wide
-//! executor ([`Executor::global`]), so existing callers transparently get
-//! the persistent pool.
+//! The classic free function [`crate::driver::spgemm`] is a thin wrapper
+//! over a lazily-created process-wide executor ([`Executor::global`]), so
+//! existing callers transparently get the persistent pool.
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::config::Config;
-use crate::driver::{run_plan, RunStats};
-use crate::plan::{self, Plan};
+use crate::driver::{self, Plain, RunStats};
+use crate::plan::{self, Node, Plan, PlanScratch};
 use mspgemm_rt::obs;
 use mspgemm_sched::{WatchdogConfig, WorkerPool};
 use mspgemm_sparse::{Csr, Semiring, SparseError};
@@ -116,11 +115,13 @@ impl Executor {
         mask: &Csr<S::T>,
         config: &Config,
     ) -> Result<Plan<S>, SparseError> {
-        Plan::build(Arc::clone(&self.shared), a, b, mask, config)
+        let (exec, nodes) = (Arc::clone(&self.shared), vec![Node::product()]);
+        Plan::freeze(exec, config, nodes, &[a, b, mask], None)
     }
 
-    /// One-shot `C = M ⊙ (A × B)` on this executor's pool: plans, runs
-    /// once, and discards the symbolic phase. Equivalent to the
+    /// One-shot `C = M ⊙ (A × B)` on this executor's pool: prepares the
+    /// one-node plan core, runs it once, and discards it — no operand is
+    /// fingerprinted. Equivalent to the
     /// [`spgemm`](crate::driver::spgemm) free function, but on this
     /// executor instead of the global one.
     pub fn execute<S: Semiring>(
@@ -131,9 +132,12 @@ impl Executor {
         config: &Config,
     ) -> Result<(Csr<S::T>, RunStats), SparseError> {
         let setup_start = Instant::now();
-        let core = plan::prepare(config, a, b, mask)?;
+        let inputs = [a, b, mask];
+        let core = &plan::prepare(config, vec![Node::product()], &inputs)?;
         let setup = setup_start.elapsed();
-        run_plan::<S>(&self.shared, &core, None, None, a, b, mask, setup)
+        let scratch = &mut PlanScratch::<S>::default();
+        let run = driver::run::<S, Plain>(&self.shared, core, scratch, &inputs, None, setup, false);
+        plan::sole(run)
     }
 
     /// The shared pool/lock state, for in-crate layers (the service
@@ -239,13 +243,9 @@ impl<S: Semiring> Session<S> {
         b: &Csr<S::T>,
         mask: &Csr<S::T>,
     ) -> Result<(Csr<S::T>, RunStats), SparseError> {
-        if self.plan.is_none() {
-            self.plan = Some(self.exec.plan::<S>(a, b, mask, &self.config)?);
-        }
-        let Some(plan) = self.plan.as_mut() else {
-            return Err(SparseError::Internal {
-                detail: "session plan missing right after build".to_string(),
-            });
+        let plan = match &mut self.plan {
+            Some(plan) => plan,
+            slot => slot.insert(self.exec.plan::<S>(a, b, mask, &self.config)?),
         };
         match plan.execute(a, b, mask) {
             Err(SparseError::PlanStructureMismatch { .. }) => {

@@ -1,16 +1,21 @@
-//! Reusable symbolic plans: the prologue of a masked-SpGEMM call, captured
-//! once and revalidated cheaply.
+//! Frozen plans: the symbolic phase of masked SpGEMM, captured once and
+//! revalidated cheaply — for one product and for a chain of products
+//! alike.
 //!
-//! Every call to the driver pays a *symbolic* phase before any arithmetic
-//! happens: resolve the [`Config`], estimate per-row work with Eq. 2, cut
-//! the rows into tiles, and lay out the mask-bound output slots. None of that depends on the matrices' *values* — only on
-//! their sparsity structure. A [`Plan`] freezes the symbolic phase so an
-//! iterated workload pays it once:
+//! The *symbolic* phase — resolve the [`Config`], estimate per-row work
+//! with Eq. 2, cut the rows into tiles, lay out the mask-bound output
+//! slots — depends only on sparsity structure, and every entry point
+//! freezes it into the same plan core: product nodes `mask ⊙ (A × B)`
+//! over positional inputs. A single product is the one-node plan
+//! `{a: Ext(0), b: Ext(1), mask: Ext(2)}` over `[A, B, M]`; a
+//! [`crate::PlanGraph`] has `N` nodes, whose `A` may be an earlier node's
+//! output and whose rows may carry fused element-wise post-ops.
 //!
-//! * `PlanCore` holds the frozen artifacts (tiles, slot layout, work
-//!   estimates, accumulator sizing bound);
-//! * a structural `Fingerprint` of the operands guards re-execution —
-//!   [`Plan::execute`] revalidates it and fails with
+//! * `prepare` is the one symbolic phase (one-shot [`crate::spgemm`] runs
+//!   it per call);
+//! * a per-input structural fingerprint (`ExtFingerprint`) guards a kept
+//!   plan ([`Plan`], [`crate::Session`], the Service's plan cache,
+//!   [`crate::PlanGraph`]): re-execution revalidates it and fails with
 //!   [`SparseError::PlanStructureMismatch`] (naming the drifted operand)
 //!   instead of computing garbage;
 //! * `PlanScratch` carries the output slot buffers across executions, so
@@ -19,7 +24,8 @@
 //! # What the fingerprint covers
 //!
 //! Exactly the structure the frozen artifacts were computed *from* — no
-//! more. The mask's row pointers are always pinned: the slot layout is a
+//! more. Each input is pinned at the highest tier any node needs. A
+//! mask's row pointers are always pinned: its node's slot layout is a
 //! prefix sum over them, and a drifted mask row would overflow its tile's
 //! slot window. Everything else is tiered by iteration space:
 //!
@@ -29,24 +35,27 @@
 //!   structural drift in `A` or `B` can shift load balance but corrupt
 //!   nothing, and revalidation touches `O(nrows)` of the mask only;
 //! * the vanilla kernel sizes its accumulator from the Eq. 2 work
-//!   estimate, which walks `A`'s column indices into `B`'s row lengths —
-//!   an undersized hash table latches its overflow flag and forces a
-//!   full-bound spill recompute of every affected row (correct but a
-//!   performance cliff), so under vanilla the fingerprint additionally
-//!   pins `A`'s row pointers *and* columns and `B`'s row pointers.
+//!   estimate, which walks an external `A`'s column indices into `B`'s
+//!   row lengths — an undersized hash table latches its overflow flag and
+//!   forces a full-bound spill recompute of every affected row (correct
+//!   but a performance cliff), so under vanilla the fingerprint
+//!   additionally pins that `A`'s row pointers *and* columns and `B`'s
+//!   row pointers.
 //!
-//! Column indices of `B` and `M` are never hashed: they feed no
-//! precomputed bound. The practical upshot is that revalidation — the
-//! reuse tax paid by every [`Plan::execute`] — stays far cheaper than the
-//! prologue it replaces, and benign drift is tolerated instead of forcing
-//! a rebuild.
+//! Column indices of `B` and `M`, and fused intersect/subtract patterns,
+//! are never hashed: they feed no precomputed bound. For one product this
+//! pins exactly `(A, B, M)` at `(Dims, Dims, Rows)`, or
+//! `(RowsAndCols, Rows, Rows)` under vanilla. The practical upshot is that
+//! revalidation — the reuse tax paid by every [`Plan::execute`] — stays
+//! far cheaper than the prologue it replaces, and benign drift is
+//! tolerated instead of forcing a rebuild.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::config::{Config, IterationSpace, Overbook, SimdMode};
-use crate::driver::{run_plan, RunStats};
+use crate::driver::{self, Plain, RunStats};
 use crate::engine::{SlotBufs, SlotLayout};
 use crate::executor::ExecutorShared;
 use mspgemm_accum::AccumulatorKind;
@@ -63,29 +72,63 @@ use mspgemm_sparse::{Csr, Semiring, SparseError};
 /// worker's default scratch key.
 static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Allocate a fresh plan identity from the same sequence ordinary plans
-/// use, so a [`crate::graph::PlanGraph`]'s worker-scratch key can never
-/// collide with a single-product plan's.
-pub(crate) fn next_plan_id() -> u64 {
-    NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed)
+/// The `A` operand of a node, index-resolved: an external input or the
+/// output of an earlier node.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum OperandRef {
+    Ext(usize),
+    Node(usize),
 }
 
-/// The frozen symbolic phase of one masked-SpGEMM shape.
-pub(crate) struct PlanCore {
+/// One element-wise consumer fused into a node's row gather. Pattern ops
+/// name an external input by index; the pattern is read fresh at run
+/// time, so only its shape is load-bearing for the frozen plan.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum PostOpSpec<T> {
+    SelectGe(T),
+    Fill(T),
+    Intersect(usize),
+    Subtract(usize),
+}
+
+/// One product node `mask ⊙ (A × B)`; `b`, `mask` and an `Ext` `a` index
+/// the plan's positional inputs.
+pub(crate) struct Node<T> {
+    pub(crate) a: OperandRef,
+    pub(crate) b: usize,
+    pub(crate) mask: usize,
+    /// Fused post-ops, applied in order in the row gather.
+    pub(crate) post: Vec<PostOpSpec<T>>,
+    /// Whether a run materialises this node's result.
+    pub(crate) output: bool,
+}
+
+impl<T> Node<T> {
+    /// The single product `M ⊙ (A × B)` over the inputs `[A, B, M]`.
+    pub(crate) const fn product() -> Self {
+        Node { a: OperandRef::Ext(0), b: 1, mask: 2, post: Vec::new(), output: true }
+    }
+}
+
+/// The frozen symbolic phase of a list of product nodes.
+pub(crate) struct PlanCore<T> {
     /// The configuration, as given (resolution results cached below).
     pub(crate) config: Config,
     /// `config.resolved_threads()` at plan time.
     pub(crate) n_threads: usize,
-    /// Row tiles (uniform or FLOP-balanced over the Eq. 2 estimates).
+    /// Output rows, shared by every node.
+    pub(crate) nrows: usize,
+    /// The shared row tiles (uniform or FLOP-balanced over the summed
+    /// Eq. 2 estimates).
     pub(crate) tiles: Vec<Tile>,
-    /// Per-tile `[lo, hi)` row windows (mirrors `tiles`, in tuple form
-    /// for `DisjointSlots`).
-    pub(crate) row_ranges: Vec<(usize, usize)>,
-    /// The mask-bound output slot layout over `tiles`.
-    pub(crate) layout: SlotLayout,
-    /// Total Eq. 2 work estimate.
+    pub(crate) nodes: Vec<Node<T>>,
+    /// Each node's mask-bound slot layout over `tiles` (parallel to
+    /// `nodes`).
+    pub(crate) layouts: Vec<SlotLayout>,
+    /// Total Eq. 2 work estimate, summed over nodes.
     pub(crate) estimated_work: u64,
-    /// Accumulator sizing bound (see the driver's prologue docs).
+    /// Accumulator sizing bound: the max over rows of the per-row bound
+    /// (see [`prepare`]).
     pub(crate) max_row_entries: usize,
     /// Overbooked accumulator sizing: the configured quantile of the same
     /// per-row bounds `max_row_entries` is the max of (equal to it when
@@ -93,26 +136,26 @@ pub(crate) struct PlanCore {
     /// allocates at this size; a row whose bound exceeds it may overflow
     /// and is then recomputed at `max_row_entries` (the spill path).
     pub(crate) overbook_row_entries: usize,
+    /// Dense-accumulator column bound: the widest node's `B.ncols`.
+    pub(crate) max_ncols: usize,
     /// Whether the SIMD co-iteration search is in effect for this plan
     /// (see [`resolve_simd`]).
     pub(crate) simd: bool,
     /// Whether the AVX2 group probe hash accumulator is in effect (see
     /// [`resolve_simd`]).
     pub(crate) simd_probe: bool,
-    /// `(C.nrows, A.ncols = B.nrows, C.ncols)` the plan was built for.
-    pub(crate) shape: (usize, usize, usize),
     /// Unique identity; keys the workers' cross-run accumulator scratch.
     pub(crate) plan_id: u64,
 }
 
-/// Resolve the SIMD mode against the CPU, once per plan (or graph):
+/// Resolve the SIMD mode against the CPU, once per plan:
 /// `(simd, simd_probe)`. The co-iteration search vectorises unless
 /// `Scalar` is forced. The AVX2 group probe of the hash accumulator stays
 /// off under `Auto`: slack-sized tables (see `engine::hash_slack`) keep
 /// probe chains within the scalar fast path, so the group probe's setup
 /// cost never pays for itself there. Only `Force` (plus CPU support)
 /// turns it on.
-pub(crate) fn resolve_simd(mode: SimdMode) -> (bool, bool) {
+fn resolve_simd(mode: SimdMode) -> (bool, bool) {
     let avx = crate::simd::simd_available();
     match mode {
         SimdMode::Scalar => (false, false),
@@ -121,70 +164,126 @@ pub(crate) fn resolve_simd(mode: SimdMode) -> (bool, bool) {
     }
 }
 
-/// Run the symbolic phase: shape checks, Eq. 2 estimation, tiling, slot
-/// layout. This is the exact prologue the one-shot driver historically
-/// performed per call, panic-contained the same way.
+/// The one symbolic phase, for any node list: shape checks, Eq. 2
+/// estimation summed over nodes, one shared tiling, a slot layout per
+/// node, and the accumulator bounds.
+///
+/// Hash-accumulator sizing (§III-C): a row's bound is the max over nodes
+/// of what that node can hold in the row. Mask-preload kernels hold at
+/// most `nnz(M[i,:])` entries; the vanilla kernel must hold every
+/// distinct intermediate column, bounded by `Σ nnz(B[k,:])` (= `W[i]`
+/// minus the mask term, saturating) and by `ncols` — or by `ncols` alone
+/// when `A` is an earlier node, whose structure is unknown at freeze time
+/// (its row work is proxied by the mask bound, too). The estimation runs
+/// in the calling thread, panic-contained so a pathological input (or the
+/// `work-estimate` failpoint) loses the plan, not the process.
 pub(crate) fn prepare<T: Copy + Sync>(
     config: &Config,
-    a: &Csr<T>,
-    b: &Csr<T>,
-    mask: &Csr<T>,
-) -> Result<PlanCore, SparseError> {
-    if a.ncols() != b.nrows() {
-        return Err(SparseError::ShapeMismatch {
-            expected: (a.ncols(), b.ncols()),
-            found: (b.nrows(), b.ncols()),
-            context: "masked_spgemm: A×B inner dimension",
+    nodes: Vec<Node<T>>,
+    inputs: &[&Csr<T>],
+) -> Result<PlanCore<T>, SparseError> {
+    // the first node's `A` is external (a node reads only earlier nodes)
+    // and fixes the row count every node shares
+    let nrows = match nodes.first().map(|n| n.a) {
+        Some(OperandRef::Ext(e)) => inputs[e].nrows(),
+        _ => 0,
+    };
+    let mut ncols: Vec<usize> = Vec::with_capacity(nodes.len());
+    for node in &nodes {
+        let (b, mask) = (inputs[node.b], inputs[node.mask]);
+        let (a_rows, inner) = match node.a {
+            OperandRef::Ext(e) => (inputs[e].nrows(), inputs[e].ncols()),
+            OperandRef::Node(j) => (nrows, ncols[j]),
+        };
+        if inner != b.nrows() {
+            return Err(SparseError::ShapeMismatch {
+                expected: (inner, b.ncols()),
+                found: (b.nrows(), b.ncols()),
+                context: "masked_spgemm: A×B inner dimension",
+            });
+        }
+        if a_rows != nrows {
+            return Err(SparseError::ShapeMismatch {
+                expected: (nrows, inner),
+                found: (a_rows, inner),
+                context: "masked_spgemm: A rows",
+            });
+        }
+        let patterns = node.post.iter().filter_map(|p| match *p {
+            PostOpSpec::Intersect(e) | PostOpSpec::Subtract(e) => Some(inputs[e]),
+            _ => None,
         });
-    }
-    if mask.nrows() != a.nrows() || mask.ncols() != b.ncols() {
-        return Err(SparseError::ShapeMismatch {
-            expected: (a.nrows(), b.ncols()),
-            found: (mask.nrows(), mask.ncols()),
-            context: "masked_spgemm: mask shape",
-        });
+        for (m, context) in std::iter::once((mask, "masked_spgemm: mask shape"))
+            .chain(patterns.map(|p| (p, "masked_spgemm: fused pattern shape")))
+        {
+            if (m.nrows(), m.ncols()) != (nrows, b.ncols()) {
+                return Err(SparseError::ShapeMismatch {
+                    expected: (nrows, b.ncols()),
+                    found: (m.nrows(), m.ncols()),
+                    context,
+                });
+            }
+        }
+        ncols.push(b.ncols());
     }
 
     let n_threads = config.resolved_threads();
-    let n_tiles = config.resolved_tiles(a.nrows());
+    let n_tiles = config.resolved_tiles(nrows);
     let config = *config;
-    // The estimation/tiling prologue runs in the calling thread; contain
-    // it so a pathological input (or the `work-estimate` failpoint) cannot
-    // abort the process.
+    let vanilla = matches!(config.kernel.iteration, IterationSpace::Vanilla);
     let prologue = catch_tile_panic(|| {
-        let work = row_work(a, b, mask);
-        let estimated_work = total_work(&work);
-        let tiles = tiles_for(config.tiling, a.nrows(), &work, n_tiles);
-        // Hash-accumulator sizing (§III-C): mask-preload kernels can hold
-        // at most max_i nnz(M[i,:]) entries; the vanilla kernel must hold
-        // every distinct intermediate column, bounded by Σ nnz(B[k,:])
-        // (= W[i] minus the mask term, saturating) and by ncols.
-        let row_bound = |i: usize| match config.kernel.iteration {
-            IterationSpace::Vanilla => {
-                (work[i].saturating_sub(mask.row_nnz(i) as u64) as usize).min(b.ncols())
-            }
-            _ => mask.row_nnz(i),
+        let node_work: Vec<Vec<u64>> = nodes
+            .iter()
+            .map(|n| match n.a {
+                OperandRef::Ext(e) => row_work(inputs[e], inputs[n.b], inputs[n.mask]),
+                OperandRef::Node(_) => {
+                    (0..nrows).map(|i| inputs[n.mask].row_nnz(i) as u64).collect()
+                }
+            })
+            .collect();
+        let row_bound = |i: usize| {
+            let node_bound = |(n, w): (&Node<T>, &Vec<u64>)| {
+                let (ncols, m) = (inputs[n.b].ncols(), inputs[n.mask].row_nnz(i));
+                match n.a {
+                    OperandRef::Ext(_) if vanilla => {
+                        (w[i].saturating_sub(m as u64) as usize).min(ncols)
+                    }
+                    OperandRef::Node(_) if vanilla => ncols,
+                    _ => m,
+                }
+            };
+            nodes.iter().zip(&node_work).map(node_bound).max().unwrap_or(0)
         };
-        let max_row_entries = (0..a.nrows()).map(row_bound).max().unwrap_or(1);
+        let summed: Vec<u64>;
+        let work = match &node_work[..] {
+            [w] => w,
+            ws => {
+                summed = (0..nrows).map(|i| ws.iter().map(|w| w[i]).sum()).collect();
+                &summed
+            }
+        };
+        let estimated_work = total_work(work);
+        let tiles = tiles_for(config.tiling, nrows, work, n_tiles);
+        let max_row_entries = (0..nrows).map(row_bound).max().unwrap_or(1);
         // Overbooked sizing (Tailors): take the configured quantile of the
         // *same* per-row bounds instead of their max. Only the hash family
         // can detect and recover from overflow, so everything else keeps
         // the hard bound.
         let overbook_row_entries = match (config.kernel.overbook, config.kernel.accumulator) {
-            (Overbook::Quantile { q }, AccumulatorKind::Hash(_)) if a.nrows() > 0 => {
-                let mut bounds: Vec<usize> = (0..a.nrows()).map(row_bound).collect();
-                bounds.sort_unstable();
+            (Overbook::Quantile { q }, AccumulatorKind::Hash(_)) if nrows > 0 => {
+                let mut bound: Vec<usize> = (0..nrows).map(row_bound).collect();
+                bound.sort_unstable();
                 // nearest-rank quantile, clamped to [1, max]
-                let rank = ((q.clamp(0.0, 1.0) * bounds.len() as f64).ceil() as usize)
-                    .clamp(1, bounds.len());
-                bounds[rank - 1].clamp(1, max_row_entries.max(1))
+                let rank = ((q.clamp(0.0, 1.0) * nrows as f64).ceil() as usize).clamp(1, nrows);
+                bound[rank - 1].clamp(1, max_row_entries.max(1))
             }
             _ => max_row_entries,
         };
-        let layout = SlotLayout::new(&tiles, mask);
-        (estimated_work, tiles, max_row_entries, overbook_row_entries, layout)
+        let layouts: Vec<SlotLayout> =
+            nodes.iter().map(|node| SlotLayout::new(&tiles, inputs[node.mask])).collect();
+        (estimated_work, tiles, layouts, max_row_entries, overbook_row_entries)
     });
-    let (estimated_work, tiles, max_row_entries, overbook_row_entries, layout) = match prologue {
+    let (estimated_work, tiles, layouts, max_row_entries, overbook_row_entries) = match prologue {
         Ok(v) => v,
         Err(msg) => {
             return Err(SparseError::Internal { detail: format!("work estimation: {msg}") })
@@ -194,28 +293,18 @@ pub(crate) fn prepare<T: Copy + Sync>(
     Ok(PlanCore {
         config,
         n_threads,
-        row_ranges: tiles.iter().map(|t| (t.lo, t.hi)).collect(),
+        nrows,
         tiles,
-        layout,
+        nodes,
+        layouts,
         estimated_work,
         max_row_entries,
         overbook_row_entries,
+        max_ncols: ncols.into_iter().max().unwrap_or(0),
         simd,
         simd_probe,
-        shape: (a.nrows(), a.ncols(), b.ncols()),
-        plan_id: next_plan_id(),
+        plan_id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
     })
-}
-
-/// Structural fingerprint of the `(A, B, M)` operand triple. Hashable so
-/// the service layer can key its plan cache on it (equality is still
-/// checked on every cache hit — the hash is a lookup accelerator, not the
-/// validity proof).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct Fingerprint {
-    pub(crate) a: u64,
-    pub(crate) b: u64,
-    pub(crate) mask: u64,
 }
 
 /// FNV-style sequential fold with a strong finalizer — not cryptographic,
@@ -253,7 +342,7 @@ pub(crate) fn finish(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// How much of one operand's structure a plan froze — and hence how much
+/// How much of one input's structure a plan froze — and hence how much
 /// the fingerprint must pin (see the module docs, "What the fingerprint
 /// covers").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -286,35 +375,46 @@ pub(crate) fn structure_hash<T: Copy>(m: &Csr<T>, pin: Pin) -> u64 {
     finish(fold(fold(fold(lanes[0], lanes[1]), lanes[2]), lanes[3]))
 }
 
-/// The pin levels for `(A, B, M)` under `config`. The mask's row pointers
-/// are always load-bearing (slot layout); `A` and `B` matter beyond their
-/// shape only when the vanilla kernel's Eq. 2-derived accumulator bound
-/// froze them into the plan.
-pub(crate) fn operand_pins(config: &Config) -> (Pin, Pin, Pin) {
-    match config.kernel.iteration {
-        IterationSpace::Vanilla => (Pin::RowsAndCols, Pin::Rows, Pin::Rows),
-        _ => (Pin::Dims, Pin::Dims, Pin::Rows),
-    }
+/// Structural guard for one positional input. Comparable, so the service
+/// layer can check a cached plan against a job's inputs without hashing
+/// them twice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ExtFingerprint {
+    pub(crate) pin: Pin,
+    pub(crate) hash: u64,
+    pub(crate) shape: (usize, usize),
 }
 
+/// Fingerprint every input at the tier the nodes froze it at.
 pub(crate) fn fingerprint<T: Copy>(
-    a: &Csr<T>,
-    b: &Csr<T>,
-    mask: &Csr<T>,
     config: &Config,
-) -> Fingerprint {
-    let (pin_a, pin_b, pin_m) = operand_pins(config);
-    Fingerprint {
-        a: structure_hash(a, pin_a),
-        b: structure_hash(b, pin_b),
-        mask: structure_hash(mask, pin_m),
+    nodes: &[Node<T>],
+    inputs: &[&Csr<T>],
+) -> Vec<ExtFingerprint> {
+    let vanilla = matches!(config.kernel.iteration, IterationSpace::Vanilla);
+    let mut pins = vec![Pin::Dims; inputs.len()];
+    for node in nodes {
+        pins[node.mask] = pins[node.mask].max(Pin::Rows);
+        if let (true, OperandRef::Ext(e)) = (vanilla, node.a) {
+            pins[e] = pins[e].max(Pin::RowsAndCols);
+            pins[node.b] = pins[node.b].max(Pin::Rows);
+        }
     }
+    inputs
+        .iter()
+        .zip(pins)
+        .map(|(m, pin)| ExtFingerprint {
+            pin,
+            hash: structure_hash(m, pin),
+            shape: (m.nrows(), m.ncols()),
+        })
+        .collect()
 }
 
-/// Cross-execution value scratch: the slot buffers (see
-/// [`SlotBufs`]). Re-executing a plan `mem::take`s them, resizes *without
-/// clearing*, and gets them back from the compaction step — so the steady
-/// state allocates nothing and memsets nothing.
+/// Cross-execution value scratch: one slot buffer per node (see
+/// [`SlotBufs`]). Re-executing a plan resizes them *without clearing*
+/// and gets each output node's buffers back from the compaction step — so
+/// the steady state allocates nothing and memsets nothing.
 ///
 /// `accums` is the batch-path analogue of the worker-persistent
 /// [`WorkerScratch`](mspgemm_sched::WorkerScratch) slot: one type-erased
@@ -328,43 +428,61 @@ pub(crate) fn fingerprint<T: Copy>(
 /// mismatch (e.g. arming metrics flips the accumulator's `METER` const
 /// parameter and with it the `TypeId`).
 pub(crate) struct PlanScratch<S: Semiring> {
-    pub(crate) slots: SlotBufs<S::T>,
-    pub(crate) accums: Vec<std::sync::Mutex<Option<Box<dyn std::any::Any + Send>>>>,
+    pub(crate) slots: Vec<SlotBufs<S::T>>,
+    pub(crate) accums: Vec<Mutex<Option<Box<dyn std::any::Any + Send>>>>,
 }
 
 impl<S: Semiring> Default for PlanScratch<S> {
     fn default() -> Self {
-        PlanScratch { slots: SlotBufs::default(), accums: Vec::new() }
+        PlanScratch { slots: Vec::new(), accums: Vec::new() }
     }
 }
 
-/// A reusable execution plan for one masked-SpGEMM shape: the frozen
-/// symbolic phase, a structural fingerprint guarding it, cross-run value
-/// scratch, and a handle to the executor it runs on.
+/// A run's outputs, one per output node in node order, plus its stats.
+pub(crate) type Outputs<T, X> = Result<(Vec<Csr<T>>, X), SparseError>;
+
+/// The one output of a single-product run.
+pub(crate) fn sole<T, X>(run: Outputs<T, X>) -> Result<(Csr<T>, X), SparseError> {
+    let (mut outs, stats) = run?;
+    let missing = || SparseError::Internal { detail: "product plan produced no output".into() };
+    Ok((outs.pop().ok_or_else(missing)?, stats))
+}
+
+/// A reusable execution plan: the frozen symbolic phase, the structural
+/// fingerprints guarding it, cross-run value scratch, and a handle to the
+/// executor it runs on. Through the public API it is one masked product;
+/// a [`crate::PlanGraph`] is the same plan over `N` nodes.
 ///
 /// Built by [`Executor::plan`](crate::Executor::plan); re-executed with
 /// [`execute`](Plan::execute). See [`crate::Session`] for the
 /// plan-management loop (build lazily, rebuild on structure drift) done
 /// for you.
 pub struct Plan<S: Semiring> {
-    core: PlanCore,
-    fingerprint: Fingerprint,
-    scratch: PlanScratch<S>,
-    exec: Arc<ExecutorShared>,
+    pub(crate) core: PlanCore<S::T>,
+    pub(crate) fps: Vec<ExtFingerprint>,
+    pub(crate) scratch: PlanScratch<S>,
+    pub(crate) exec: Arc<ExecutorShared>,
 }
 
 impl<S: Semiring> Plan<S> {
-    pub(crate) fn build(
+    /// Freeze `nodes` against `inputs`: the symbolic phase plus the
+    /// fingerprints guarding it. A caller that already holds the inputs'
+    /// fingerprints passes them as `fps` — the Service, whose cache
+    /// entries count as `svc.plan_cache_misses` rather than
+    /// `exec.plan_builds`.
+    pub(crate) fn freeze(
         exec: Arc<ExecutorShared>,
-        a: &Csr<S::T>,
-        b: &Csr<S::T>,
-        mask: &Csr<S::T>,
         config: &Config,
+        nodes: Vec<Node<S::T>>,
+        inputs: &[&Csr<S::T>],
+        fps: Option<Vec<ExtFingerprint>>,
     ) -> Result<Self, SparseError> {
-        let core = prepare(config, a, b, mask)?;
-        let fingerprint = fingerprint(a, b, mask, config);
-        obs::incr(obs::Counter::ExecPlanBuilds);
-        Ok(Plan { core, fingerprint, scratch: PlanScratch::default(), exec })
+        let core = prepare(config, nodes, inputs)?;
+        let fps = fps.unwrap_or_else(|| {
+            obs::incr(obs::Counter::ExecPlanBuilds);
+            fingerprint(&core.config, &core.nodes, inputs)
+        });
+        Ok(Plan { core, fps, scratch: PlanScratch::default(), exec })
     }
 
     /// The configuration the plan was built with.
@@ -397,25 +515,33 @@ impl<S: Semiring> Plan<S> {
         b: &Csr<S::T>,
         mask: &Csr<S::T>,
     ) -> Result<(), SparseError> {
-        let (nrows, inner, ncols) = self.core.shape;
-        if a.nrows() != nrows
-            || a.ncols() != inner
-            || b.nrows() != inner
-            || b.ncols() != ncols
-            || mask.nrows() != nrows
-            || mask.ncols() != ncols
-        {
+        self.check(&[a, b, mask])
+    }
+
+    /// [`validate`](Plan::validate) over the plan's positional inputs, for
+    /// products and graphs alike: the input count, then every shape (a
+    /// mismatch is named `"shape"`), then every structure hash, naming the
+    /// first drifted input by its product position — `"A"`, `"B"` or
+    /// `"mask"` (a graph renames it, see `PlanGraph::validate`).
+    pub(crate) fn check(&self, inputs: &[&Csr<S::T>]) -> Result<(), SparseError> {
+        let fps = &self.fps;
+        if inputs.len() != fps.len() {
+            return Err(SparseError::InvalidConfig {
+                detail: format!(
+                    "plan was built with {} inputs but {} were supplied",
+                    fps.len(),
+                    inputs.len()
+                ),
+            });
+        }
+        if inputs.iter().zip(fps).any(|(m, fp)| (m.nrows(), m.ncols()) != fp.shape) {
             return Err(SparseError::PlanStructureMismatch { operand: "shape" });
         }
-        let (pin_a, pin_b, pin_m) = operand_pins(&self.core.config);
-        if structure_hash(a, pin_a) != self.fingerprint.a {
-            return Err(SparseError::PlanStructureMismatch { operand: "A" });
-        }
-        if structure_hash(b, pin_b) != self.fingerprint.b {
-            return Err(SparseError::PlanStructureMismatch { operand: "B" });
-        }
-        if structure_hash(mask, pin_m) != self.fingerprint.mask {
-            return Err(SparseError::PlanStructureMismatch { operand: "mask" });
+        for (i, (m, fp)) in inputs.iter().zip(fps).enumerate() {
+            if structure_hash(m, fp.pin) != fp.hash {
+                let operand = ["A", "B", "mask"].get(i).copied().unwrap_or("input");
+                return Err(SparseError::PlanStructureMismatch { operand });
+            }
         }
         Ok(())
     }
@@ -436,7 +562,7 @@ impl<S: Semiring> Plan<S> {
         b: &Csr<S::T>,
         mask: &Csr<S::T>,
     ) -> Result<(Csr<S::T>, RunStats), SparseError> {
-        self.run(a, b, mask, None)
+        sole(self.run::<Plain>(&[a, b, mask], None))
     }
 
     /// [`execute`](Plan::execute) under a cooperative [`CancelToken`]: the
@@ -454,21 +580,21 @@ impl<S: Semiring> Plan<S> {
         mask: &Csr<S::T>,
         cancel: &CancelToken,
     ) -> Result<(Csr<S::T>, RunStats), SparseError> {
-        self.run(a, b, mask, Some(cancel))
+        sole(self.run::<Plain>(&[a, b, mask], Some(cancel)))
     }
 
-    fn run(
+    /// Revalidate `inputs`, then run every node and return the output
+    /// nodes' results in node order.
+    pub(crate) fn run<P: driver::PostOps<S::T>>(
         &mut self,
-        a: &Csr<S::T>,
-        b: &Csr<S::T>,
-        mask: &Csr<S::T>,
+        inputs: &[&Csr<S::T>],
         cancel: Option<&CancelToken>,
-    ) -> Result<(Csr<S::T>, RunStats), SparseError> {
+    ) -> Outputs<S::T, RunStats> {
         let setup_start = Instant::now();
-        self.validate(a, b, mask)?;
+        self.check(inputs)?;
         let setup = setup_start.elapsed();
-        obs::incr(obs::Counter::ExecPlanExecutes);
-        run_plan::<S>(&self.exec, &self.core, Some(&mut self.scratch), cancel, a, b, mask, setup)
+        let Plan { core, scratch, exec, .. } = self;
+        driver::run::<S, P>(exec, core, scratch, inputs, cancel, setup, true)
     }
 }
 
@@ -476,6 +602,14 @@ impl<S: Semiring> Plan<S> {
 mod tests {
     use super::*;
     use mspgemm_sparse::Idx;
+
+    fn product(cfg: &Config, a: &Csr<f64>, b: &Csr<f64>, m: &Csr<f64>) -> PlanCore<f64> {
+        prepare(cfg, vec![Node::product()], &[a, b, m]).unwrap()
+    }
+
+    fn product_fps(cfg: &Config, a: &Csr<f64>, b: &Csr<f64>, m: &Csr<f64>) -> Vec<ExtFingerprint> {
+        fingerprint(cfg, &[Node::product()], &[a, b, m])
+    }
 
     #[test]
     fn fingerprint_is_structure_only() {
@@ -485,8 +619,8 @@ mod tests {
             .unwrap();
         let cfg = Config::default();
         assert_eq!(
-            fingerprint(&m1, &m1, &m1, &cfg),
-            fingerprint(&m2, &m2, &m2, &cfg),
+            product_fps(&cfg, &m1, &m1, &m1),
+            product_fps(&cfg, &m2, &m2, &m2),
             "values must not affect the fingerprint"
         );
     }
@@ -532,14 +666,17 @@ mod tests {
         let vanilla = Config::builder()
             .kernel_policy(crate::config::KernelPolicy::new().iteration(IterationSpace::Vanilla))
             .build();
+        let pins = |cfg: &Config| -> Vec<Pin> {
+            product_fps(cfg, &x, &x, &x).iter().map(|fp| fp.pin).collect()
+        };
         assert_eq!(
-            operand_pins(&vanilla),
-            (Pin::RowsAndCols, Pin::Rows, Pin::Rows),
+            pins(&vanilla),
+            [Pin::RowsAndCols, Pin::Rows, Pin::Rows],
             "vanilla sizes from Eq. 2 row work: A cols and B row lengths are frozen"
         );
         assert_eq!(
-            operand_pins(&Config::default()),
-            (Pin::Dims, Pin::Dims, Pin::Rows),
+            pins(&Config::default()),
+            [Pin::Dims, Pin::Dims, Pin::Rows],
             "mask-bounded kernels read A and B fresh; the mask slot layout stays pinned"
         );
     }
@@ -548,8 +685,8 @@ mod tests {
     fn plan_ids_are_unique_and_nonzero() {
         let cfg = Config::default();
         let m = Csr::try_from_parts(2, 2, vec![0, 1, 2], vec![1, 0], vec![1.0f64; 2]).unwrap();
-        let p1 = prepare(&cfg, &m, &m, &m).unwrap();
-        let p2 = prepare(&cfg, &m, &m, &m).unwrap();
+        let p1 = product(&cfg, &m, &m, &m);
+        let p2 = product(&cfg, &m, &m, &m);
         assert_ne!(p1.plan_id, 0);
         assert_ne!(p1.plan_id, p2.plan_id);
     }
@@ -560,15 +697,16 @@ mod tests {
         let a = Csr::<f64>::zeros(3, 4);
         let b = Csr::<f64>::zeros(5, 3); // inner 4 != 5
         let m = Csr::<f64>::zeros(3, 3);
+        let prep = |b: &Csr<f64>, m: &Csr<f64>| prepare(&cfg, vec![Node::product()], &[&a, b, m]);
         assert!(matches!(
-            prepare(&cfg, &a, &b, &m),
-            Err(SparseError::ShapeMismatch { .. })
+            prep(&b, &m),
+            Err(SparseError::ShapeMismatch { context: "masked_spgemm: A×B inner dimension", .. })
         ));
         let b2 = Csr::<f64>::zeros(4, 3);
         let bad_mask = Csr::<f64>::zeros(2, 3);
         assert!(matches!(
-            prepare(&cfg, &a, &b2, &bad_mask),
-            Err(SparseError::ShapeMismatch { .. })
+            prep(&b2, &bad_mask),
+            Err(SparseError::ShapeMismatch { context: "masked_spgemm: mask shape", .. })
         ));
     }
 
@@ -584,14 +722,14 @@ mod tests {
         cols.extend(std::iter::repeat(0).take(9));
         let m = Csr::try_from_parts(10, 10, row_ptr, cols, vec![1.0f64; 15]).unwrap();
 
-        let off = prepare(&Config::default(), &m, &m, &m).unwrap();
+        let off = product(&Config::default(), &m, &m, &m);
         assert_eq!(off.max_row_entries, 6);
         assert_eq!(off.overbook_row_entries, 6, "overbooking defaults off");
 
         let p90 = Config::builder()
             .kernel_policy(KernelPolicy::new().overbook(Overbook::p90()))
             .build();
-        let core = prepare(&p90, &m, &m, &m).unwrap();
+        let core = product(&p90, &m, &m, &m);
         assert_eq!(core.max_row_entries, 6, "hard bound unchanged");
         assert_eq!(core.overbook_row_entries, 1, "p90 of [1×9, 6] is 1");
 
@@ -605,7 +743,7 @@ mod tests {
                     .overbook(Overbook::p90()),
             )
             .build();
-        assert_eq!(prepare(&dense, &m, &m, &m).unwrap().overbook_row_entries, 6);
+        assert_eq!(product(&dense, &m, &m, &m).overbook_row_entries, 6);
     }
 
     #[test]
@@ -619,17 +757,18 @@ mod tests {
             vec![1.0f64; 6],
         )
         .unwrap();
-        let core = prepare(&cfg, &m, &m, &m).unwrap();
-        assert_eq!(core.layout.bound, 6, "slot bound is nnz(M)");
-        assert_eq!(core.layout.slot_ranges.len(), core.tiles.len());
-        assert_eq!(core.row_ranges.len(), core.tiles.len());
+        let core = product(&cfg, &m, &m, &m);
+        let layout = &core.layouts[0];
+        assert_eq!(layout.bound, 6, "slot bound is nnz(M)");
+        assert_eq!(layout.slot_ranges.len(), core.tiles.len());
+        assert_eq!(layout.row_ranges.len(), core.tiles.len());
         // slot ranges are a contiguous partition of [0, bound)
         let mut prev = 0;
-        for &(lo, hi) in &core.layout.slot_ranges {
+        for &(lo, hi) in &layout.slot_ranges {
             assert_eq!(lo, prev);
             prev = hi;
         }
-        assert_eq!(prev, core.layout.bound);
-        assert_eq!(core.shape, (4, 4, 4));
+        assert_eq!(prev, layout.bound);
+        assert_eq!((core.nrows, core.max_ncols), (4, 4));
     }
 }

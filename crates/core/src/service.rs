@@ -59,9 +59,9 @@ use std::time::{Duration, Instant};
 use crate::config::{Config, IterationSpace};
 use mspgemm_accum::AccumulatorKind;
 use mspgemm_sched::Schedule;
-use crate::driver::{run_plan, run_plan_batch, BatchJob, RunStats};
+use crate::driver::{self, run_batch, BatchJob, Plain, RunStats};
 use crate::executor::Executor;
-use crate::plan::{self, Fingerprint, PlanCore, PlanScratch};
+use crate::plan::{self, ExtFingerprint, Node, Plan};
 use mspgemm_rt::obs;
 use mspgemm_sched::{
     ticket, CancelOutcome, CancelToken, Entry, QueueTag, RefusalReason, SubmitQueue, Ticket,
@@ -312,15 +312,6 @@ impl<S: Semiring> Drop for JobTicket<S> {
     }
 }
 
-/// One cached symbolic plan: fingerprint-guarded core + its cross-run
-/// slot buffers, leased out to at most one batch job at a time.
-struct CachedPlan<S: Semiring> {
-    fp: Fingerprint,
-    config: Config,
-    core: PlanCore,
-    scratch: PlanScratch<S>,
-}
-
 /// A concurrent multi-tenant submission front-end over one [`Executor`].
 /// See the module docs for the architecture; see
 /// [`crate::stress::run_stress`] for the adversarial harness that checks
@@ -492,24 +483,22 @@ impl<S: Semiring> Drop for Service<S> {
     }
 }
 
-/// A popped entry carried through planning to execution.
+/// A popped entry carried through planning to execution, with the plan
+/// it leased from the cache (or prepared fresh).
 struct PreparedJob<S: Semiring> {
     entry: Entry<JobPayload<S>>,
     key: u64,
-    fp: Fingerprint,
-    core: PlanCore,
-    scratch: PlanScratch<S>,
+    plan: Plan<S>,
     setup: Duration,
     queue_delay: Duration,
 }
 
-/// Plan-cache key: the structural fingerprint folded with the
-/// configuration label. The hash accelerates lookup only — a hit is
-/// verified against the stored fingerprint *and* configuration before the
+/// Plan-cache key: the per-input structure hashes folded with the
+/// configuration. The hash accelerates lookup only — a hit is verified
+/// against the plan's own fingerprints *and* configuration before the
 /// plan is trusted.
-fn cache_key(fp: &Fingerprint, config: &Config) -> u64 {
-    let mut h = plan::fold(fp.a, fp.b);
-    h = plan::fold(h, fp.mask);
+fn cache_key(fps: &[ExtFingerprint], config: &Config) -> u64 {
+    let mut h = fps.iter().fold(0, |h, fp| plan::fold(h, fp.hash));
     // fold the configuration axes numerically (this runs once per
     // dispatched job — no label-string formatting on the hot path);
     // collisions are harmless because every hit is verified with an
@@ -581,7 +570,7 @@ fn dispatch_loop<S: Semiring>(
     // and re-run the full symbolic phase for every sibling — the stack
     // warms up to the observed batch width instead. `cached_plans`
     // counts plans (not keys) against `cache_max`.
-    let mut cache: HashMap<u64, Vec<CachedPlan<S>>> = HashMap::new();
+    let mut cache: HashMap<u64, Vec<Plan<S>>> = HashMap::new();
     let mut cached_plans = 0usize;
     // One-entry fingerprint memo keyed by operand *identity*: closed-loop
     // clients resubmit the same `Arc`'d operands job after job, and
@@ -590,8 +579,8 @@ fn dispatch_loop<S: Semiring>(
     // the identity check sound — the memoized operands cannot be freed
     // and their addresses reused while the memo is alive. `Csr` is
     // immutable, so same allocation ⇒ same structure ⇒ same fingerprint.
-    let mut fp_memo: Option<(Arc<Csr<S::T>>, Arc<Csr<S::T>>, Arc<Csr<S::T>>, Config, Fingerprint)> =
-        None;
+    let mut fp_memo: Option<([Arc<Csr<S::T>>; 3], Config)> = None;
+    let mut memo_fps: Vec<ExtFingerprint> = Vec::new();
     while queue.pop_batch(batch_max, &mut batch) {
         if shutdown.load(Ordering::SeqCst) {
             for entry in batch.drain(..) {
@@ -628,55 +617,34 @@ fn dispatch_loop<S: Semiring>(
                 queue.settle(entry.id);
                 continue;
             }
-            let fp = match &fp_memo {
-                Some((ma, mb, mm, mc, f))
-                    if Arc::ptr_eq(ma, &entry.job.a)
-                        && Arc::ptr_eq(mb, &entry.job.b)
-                        && Arc::ptr_eq(mm, &entry.job.mask)
-                        && *mc == entry.job.config =>
-                {
-                    *f
-                }
-                _ => {
-                    let f = plan::fingerprint(
-                        &entry.job.a,
-                        &entry.job.b,
-                        &entry.job.mask,
-                        &entry.job.config,
-                    );
-                    fp_memo = Some((
-                        Arc::clone(&entry.job.a),
-                        Arc::clone(&entry.job.b),
-                        Arc::clone(&entry.job.mask),
-                        entry.job.config,
-                        f,
-                    ));
-                    f
-                }
-            };
-            let key = cache_key(&fp, &entry.job.config);
+            let job = &entry.job;
+            let inputs = [&*job.a, &*job.b, &*job.mask];
+            let operands = [&job.a, &job.b, &job.mask];
+            let memo_hit = fp_memo.as_ref().is_some_and(|(memo, config)| {
+                memo.iter().zip(operands).all(|(m, o)| Arc::ptr_eq(m, o)) && *config == job.config
+            });
+            if !memo_hit {
+                memo_fps = plan::fingerprint(&job.config, &[Node::product()], &inputs);
+                fp_memo = Some((operands.map(Arc::clone), job.config));
+            }
+            let key = cache_key(&memo_fps, &job.config);
             let leased = cache.get_mut(&key).and_then(|stack| {
                 // hash collisions or stale slots stay put; plan fresh
-                let pos = stack
-                    .iter()
-                    .position(|c| c.fp == fp && c.config == entry.job.config)?;
+                let pos =
+                    stack.iter().position(|p| p.fps == memo_fps && p.core.config == job.config)?;
                 Some(stack.swap_remove(pos))
             });
-            let leased = match leased {
-                Some(c) => {
+            let plan = match leased {
+                Some(plan) => {
                     cached_plans -= 1;
                     obs::incr(obs::Counter::SvcPlanCacheHits);
-                    Some((c.core, c.scratch))
+                    plan
                 }
-                None => None,
-            };
-            let (core, scratch) = match leased {
-                Some(hit) => hit,
                 None => {
                     obs::incr(obs::Counter::SvcPlanCacheMisses);
-                    match plan::prepare(&entry.job.config, &entry.job.a, &entry.job.b, &entry.job.mask)
-                    {
-                        Ok(core) => (core, PlanScratch::default()),
+                    let (shared, fps) = (Arc::clone(exec.shared()), Some(memo_fps.clone()));
+                    match Plan::freeze(shared, &job.config, vec![Node::product()], &inputs, fps) {
+                        Ok(plan) => plan,
                         Err(e) => {
                             obs::incr(obs::Counter::SvcCompleted);
                             entry.job.writer.complete(Err(e));
@@ -687,7 +655,7 @@ fn dispatch_loop<S: Semiring>(
                 }
             };
             let setup = setup_start.elapsed();
-            prepared.push(PreparedJob { entry, key, fp, core, scratch, setup, queue_delay });
+            prepared.push(PreparedJob { entry, key, plan, setup, queue_delay });
         }
 
         // --- numeric phase: one coalesced run (or the classic single-run
@@ -696,32 +664,31 @@ fn dispatch_loop<S: Semiring>(
         // guarantee). ---
         let batch_size = prepared.len();
         let outcomes: Vec<Result<(Csr<S::T>, RunStats), SparseError>> = if batch_size == 1 {
-            let p = &mut prepared[0];
-            vec![run_plan::<S>(
+            let PreparedJob { entry, plan: p, setup, .. } = &mut prepared[0];
+            let job = &entry.job;
+            let inputs = [&*job.a, &*job.b, &*job.mask];
+            vec![plan::sole(driver::run::<S, Plain>(
                 exec.shared(),
                 &p.core,
-                Some(&mut p.scratch),
-                Some(&p.entry.job.cancel),
-                &p.entry.job.a,
-                &p.entry.job.b,
-                &p.entry.job.mask,
-                p.setup,
-            )]
+                &mut p.scratch,
+                &inputs,
+                Some(&job.cancel),
+                *setup,
+                false,
+            ))]
         } else {
             let jobs: Vec<BatchJob<'_, S>> = prepared
                 .iter_mut()
                 .map(|p| BatchJob {
-                    core: &p.core,
-                    a: &p.entry.job.a,
-                    b: &p.entry.job.b,
-                    mask: &p.entry.job.mask,
-                    scratch: Some(&mut p.scratch),
+                    core: &p.plan.core,
+                    inputs: [&*p.entry.job.a, &*p.entry.job.b, &*p.entry.job.mask],
+                    scratch: &mut p.plan.scratch,
                     weight: 1 + p.entry.tag.priority as u32,
                     setup: p.setup,
                     cancel: Some(&p.entry.job.cancel),
                 })
                 .collect();
-            run_plan_batch::<S>(exec.shared(), jobs)
+            run_batch::<S>(exec.shared(), jobs)
         };
 
         // --- completion: hand every ticket its reply, re-park the plan
@@ -752,12 +719,7 @@ fn dispatch_loop<S: Semiring>(
                 cache.clear();
                 cached_plans = 0;
             }
-            cache.entry(p.key).or_default().push(CachedPlan {
-                fp: p.fp,
-                config: p.entry.job.config,
-                core: p.core,
-                scratch: p.scratch,
-            });
+            cache.entry(p.key).or_default().push(p.plan);
             cached_plans += 1;
         }
 
@@ -770,10 +732,8 @@ fn dispatch_loop<S: Semiring>(
             queue.drain(&mut rest);
             for entry in rest {
                 obs::incr(obs::Counter::SvcCompleted);
-                entry
-                    .job
-                    .writer
-                    .complete(Err(SparseError::ExecutorPoisoned { detail: detail.clone() }));
+                let poisoned = SparseError::ExecutorPoisoned { detail: detail.clone() };
+                entry.job.writer.complete(Err(poisoned));
             }
             break;
         }

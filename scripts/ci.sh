@@ -53,6 +53,18 @@ cargo build --release --offline --manifest-path tilebench/Cargo.toml
 echo "== tests =="
 cargo test -q --workspace --offline
 
+echo "== verdict file is current =="
+# `verdicts` re-evaluates the paper's claims from the committed figure
+# CSVs. Its stdout must equal the committed results/verdicts.txt, so a
+# verdict file that no longer follows from the CSVs and the verdict rules
+# fails here. (Only a FAIL verdict makes the binary exit non-zero; NOT
+# REPRODUCED is reported, not failed.)
+if ! cargo run -q --offline -p mspgemm-bench --bin verdicts | diff -u results/verdicts.txt -; then
+    echo "FAIL: results/verdicts.txt is stale; regenerate it from the verdicts bin" >&2
+    exit 1
+fi
+echo "ok: results/verdicts.txt matches the committed CSVs"
+
 echo "== fault-injection pass (pinned seed) =="
 # Re-run the fault suite with failpoints armed from the environment: the
 # driver must keep recovering (or surfacing structured errors) when the

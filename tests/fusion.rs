@@ -30,7 +30,8 @@ fn graph_grid() -> Vec<(&'static str, Csr<f64>)> {
 }
 
 /// The three preset operating points (Fig. 1's legend) plus the tuned
-/// point under both non-default SIMD modes, pinned to a
+/// point under both non-default SIMD modes and under p90 overbooking,
+/// pinned to a
 /// test-friendly thread/tile count so the grid exercises the per-preset
 /// accumulator and iteration-space choices rather than the machine's core
 /// count. `preset_config` resolves tile counts from `available_parallelism`,
@@ -77,6 +78,12 @@ fn preset_grid() -> Vec<(&'static str, Config)> {
         (
             "tuned-simd-force",
             base.kernel_policy(KernelPolicy::new().hybrid(1.0).simd(SimdMode::Force)).build(),
+        ),
+        // the overbook axis: graphs size their hash tables at the p90 row
+        // bound like single products, so fused nodes can spill
+        (
+            "tuned-overbook",
+            base.kernel_policy(KernelPolicy::new().hybrid(1.0).overbook(Overbook::p90())).build(),
         ),
     ]
 }
@@ -159,5 +166,43 @@ fn fused_pattern_intersection_matches_materialized_ewise() {
         let mut pg = gb.build(&[&g, &pat]).unwrap();
         let (outs, _) = pg.execute(&[&g, &pat]).unwrap();
         assert_eq!(outs[0], want, "{pname}: fused intersect differs from ewise_mult");
+    }
+}
+
+#[test]
+fn overbooked_fused_chain_spills_and_matches_unfused() {
+    // a fused select on a skewed graph under p90 overbooking: the fat
+    // rows must take the spill path inside the fused gather, and the
+    // chain must still equal the unfused product + select
+    let g = rmat::rmat(8, 6, Default::default(), 42).spones(1u64);
+    let (_, cfg) = preset_grid()
+        .into_iter()
+        .find(|(name, _)| *name == "tuned-overbook")
+        .expect("tuned-overbook preset");
+    let support = spgemm::<PlusPair>(&g, &g, &g, &cfg).unwrap().0;
+    let want = support.select(|_, _, v| v >= 2);
+    let run = |cfg: Config| {
+        let mut gb = GraphBuilder::<PlusPair>::on(Executor::global(), cfg);
+        let x = gb.input();
+        let node = gb.product(x, x, x);
+        gb.select_ge(node, 2);
+        gb.build(&[&g]).unwrap().execute(&[&g]).unwrap()
+    };
+    masked_spgemm_repro::rt::obs::arm_metrics();
+    let fused = |s: &RunStats| s.metrics.as_ref().unwrap().counter("fusion.sink_fused_elements");
+    // the preset's hybrid kernel skips a doomed first attempt; co-iterate
+    // makes one, aborts it on overflow and recomputes the row
+    for it in [cfg.kernel.iteration, IterationSpace::CoIterate] {
+        let mut over = cfg;
+        over.kernel.iteration = it;
+        let (outs, stats) = run(over);
+        assert_eq!(outs[0], want, "overbooked fused select differs from unfused ({})", it.label());
+        assert!(stats.overbook_spills > 0, "p90 tables on R-MAT must spill ({})", it.label());
+        // an aborted attempt's fused elements are not counted: the tally
+        // equals the un-overbooked run's
+        let mut hard = over;
+        hard.kernel.overbook = Overbook::Off;
+        let (_, hard_stats) = run(hard);
+        assert_eq!(fused(&stats), fused(&hard_stats), "spills inflated fused elements");
     }
 }

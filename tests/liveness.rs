@@ -156,3 +156,38 @@ fn in_flight_cancel_stops_tiles_and_is_observable() {
     );
     assert_eq!(exec.respawned_workers(), 0, "cancellation must never look like a stall");
 }
+
+/// `PlanGraph::execute_cancellable`: a token that has already fired
+/// abandons the whole run with the matching structured error — a plain
+/// cancel as `Cancelled`, a passed deadline as `DeadlineExceeded` — and
+/// the graph itself stays valid, re-executing bit-identically to an
+/// uncancelled run.
+#[test]
+fn plan_graph_cancellation_is_structured_and_leaves_the_graph_valid() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // the registry initialises on first touch: arm it (inertly) first, so
+    // the sibling tests can still arm their sites if this one runs first
+    failpoint::arm("tile-kernel=off").expect("initialise the failpoint registry");
+    let a = graph("stokes", 0.05);
+    let cfg = Config::builder().n_threads(2).n_tiles(8).build();
+    let mut gb = GraphBuilder::<PlusPair>::on(&Executor::new(), cfg);
+    let x = gb.input();
+    let n0 = gb.product(x, x, x);
+    gb.select_ge(n0, 1);
+    let n1 = gb.product(n0, x, x);
+    gb.mark_output(n0);
+    gb.mark_output(n1);
+    let mut g = gb.build(&[&a]).expect("graph builds");
+    let (want, _) = g.execute(&[&a]).expect("uncancelled reference run");
+
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    let got = g.execute_cancellable(&[&a], &cancelled);
+    assert!(matches!(got, Err(SparseError::Cancelled)), "pre-cancelled token: {got:?}");
+    let expired = CancelToken::with_deadline(std::time::Instant::now());
+    let got = g.execute_cancellable(&[&a], &expired);
+    assert!(matches!(got, Err(SparseError::DeadlineExceeded)), "passed deadline: {got:?}");
+
+    let (again, _) = g.execute(&[&a]).expect("the graph re-executes after cancellation");
+    assert_eq!(again, want, "re-execution after a cancelled run diverged");
+}
