@@ -10,7 +10,15 @@
 //! Between rows only the epoch is bumped (O(1) reset); a narrow marker
 //! overflows periodically and forces an O(ncols) clear, the trade-off the
 //! paper's Fig. 13 measures.
+//!
+//! The masked linear scan ([`Accumulator::accumulate_masked_run`]) can
+//! filter eight B columns at a time on AVX2: it gathers `marks[j]` for
+//! eight columns, drops the stale lanes (columns outside the mask) and
+//! updates the fresh ones in column order. Every marker width is covered;
+//! the marks array carries a few bytes of padding past `ncols` so narrow
+//! marks can be read as 32-bit lanes.
 
+use crate::lanes;
 use crate::marker::{advance_epoch, Marker};
 use crate::Accumulator;
 use mspgemm_rt::{failpoint, obs};
@@ -32,6 +40,10 @@ pub struct DenseAccumulator<S: Semiring, M: Marker, const METER: bool = false> {
     /// Current row's "in mask" epoch; `cur + 1` is "written".
     cur: u64,
     full_resets: u64,
+    /// Whether the masked-scan filter may engage: AVX2 was detected and
+    /// `1 ≤ ncols ≤ i32::MAX`, so every column is a signed 32-bit gather
+    /// index.
+    filter_ok: bool,
     /// Plain (non-atomic) observability scratch, only ever touched by the
     /// `METER = true` instantiation and folded into the global registry by
     /// [`Accumulator::flush_metrics`] once per tile.
@@ -45,9 +57,10 @@ impl<S: Semiring, M: Marker, const METER: bool> DenseAccumulator<S, M, METER> {
     pub fn new(ncols: usize) -> Self {
         DenseAccumulator {
             vals: vec![S::zero(); ncols],
-            marks: vec![M::default(); ncols],
+            marks: vec![M::default(); ncols + lanes::mark_pad::<M>()],
             cur: 0, // first begin_row() advances to 2
             full_resets: 0,
+            filter_ok: (1..=i32::MAX as usize).contains(&ncols) && lanes::avx2_available(),
             mask_hits: 0,
             mask_misses: 0,
             unflushed_resets: 0,
@@ -57,6 +70,58 @@ impl<S: Semiring, M: Marker, const METER: bool> DenseAccumulator<S, M, METER> {
     /// Number of columns this accumulator covers.
     pub fn ncols(&self) -> usize {
         self.vals.len()
+    }
+
+    /// The masked linear scan with the 8-lane mark filter (see the module
+    /// docs). Tallies stay exact under `METER`: one hit per fresh lane, one
+    /// miss per stale lane. A group holding a column `≥ ncols` falls back
+    /// to the bounds-checked scalar loop.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    /// # Safety
+    /// AVX2 is available and `1 ≤ ncols ≤ i32::MAX` (`filter_ok`).
+    unsafe fn masked_run_avx2(&mut self, a: S::T, bcols: &[Idx], bvals: &[S::T]) {
+        use std::arch::x86_64::*;
+        let n = bcols.len().min(bvals.len());
+        let written = M::from_epoch(self.cur + 1);
+        let last = _mm256_set1_epi32((self.vals.len() - 1) as i32);
+        let mut c = 0;
+        while c + 8 <= n {
+            // SAFETY: c + 8 <= n <= bcols.len(); unaligned load is fine
+            let vj = unsafe { _mm256_loadu_si256(bcols.as_ptr().add(c).cast()) };
+            // all eight columns ≤ ncols - 1 (unsigned) ⇔ max(vj, last) == last
+            let in_range = _mm256_cmpeq_epi32(_mm256_max_epu32(vj, last), last);
+            if _mm256_movemask_ps(_mm256_castsi256_ps(in_range)) != 0xff {
+                for l in c..c + 8 {
+                    self.accumulate_masked(bcols[l], a, bvals[l]);
+                }
+                c += 8;
+                continue;
+            }
+            // SAFETY: every lane is a column < ncols ≤ i32::MAX, and
+            // `marks` carries `mark_pad` elements past ncols
+            let fresh = unsafe { lanes::fresh_lanes(self.marks.as_ptr(), vj, self.cur) };
+            if METER {
+                self.mask_hits += u64::from(fresh.count_ones());
+                self.mask_misses += 8 - u64::from(fresh.count_ones());
+            }
+            let mut live = fresh;
+            while live != 0 {
+                let l = c + live.trailing_zeros() as usize;
+                live &= live - 1;
+                let j = bcols[l] as usize;
+                if self.marks[j] == written {
+                    self.vals[j] = S::fma(self.vals[j], a, bvals[l]);
+                } else {
+                    self.marks[j] = written;
+                    self.vals[j] = S::mul(a, bvals[l]);
+                }
+            }
+            c += 8;
+        }
+        for (&j, &b) in bcols[c..n].iter().zip(&bvals[c..n]) {
+            self.accumulate_masked(j, a, b);
+        }
     }
 }
 
@@ -115,6 +180,22 @@ impl<S: Semiring, M: Marker, const METER: bool> Accumulator<S> for DenseAccumula
     }
 
     #[inline(always)]
+    fn accumulate_masked_run(&mut self, a: S::T, bcols: &[Idx], bvals: &[S::T], simd: bool) {
+        if simd && self.filter_ok && bcols.len() >= lanes::FILTER_MIN_LEN {
+            #[cfg(target_arch = "x86_64")]
+            {
+                // SAFETY: `filter_ok` holds only when AVX2 was detected at
+                // runtime and every in-range column fits an i32 index
+                unsafe { self.masked_run_avx2(a, bcols, bvals) };
+                return;
+            }
+        }
+        for (&j, &b) in bcols.iter().zip(bvals) {
+            self.accumulate_masked(j, a, b);
+        }
+    }
+
+    #[inline(always)]
     fn accumulate_any(&mut self, j: Idx, a: S::T, b: S::T) {
         let j = j as usize;
         if self.marks[j] == M::from_epoch(self.cur + 1) {
@@ -149,8 +230,7 @@ impl<S: Semiring, M: Marker, const METER: bool> Accumulator<S> for DenseAccumula
     }
 
     fn state_bytes(&self) -> usize {
-        self.vals.len() * std::mem::size_of::<S::T>()
-            + self.marks.len() * std::mem::size_of::<M>()
+        self.vals.len() * (std::mem::size_of::<S::T>() + std::mem::size_of::<M>())
     }
 
     fn flush_metrics(&mut self) {
@@ -295,6 +375,94 @@ mod tests {
         cycle::<u16>();
         cycle::<u32>();
         cycle::<u64>();
+    }
+
+    fn lcg(state: &mut u64) -> u32 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (*state >> 33) as u32
+    }
+
+    /// Drive two metered accumulators through the same rows, one scanning
+    /// B runs with `accumulate_masked_run(.., simd = true)` and one with
+    /// the scalar `accumulate_masked` loop, and require identical marks,
+    /// values and `written()` bits after every row and identical tallies.
+    /// Runs are 0..=40 columns long and reach column `ncols - 1`, so the
+    /// 8-lane groups, their tails and the engage cutoff are all crossed.
+    /// Returns the full resets taken.
+    fn run_matches_scalar<M: Marker>(ncols: u32, rows: usize) -> u64 {
+        let mut fast: DenseAccumulator<PlusTimes, M, true> = DenseAccumulator::new(ncols as usize);
+        let mut slow: DenseAccumulator<PlusTimes, M, true> = DenseAccumulator::new(ncols as usize);
+        let mut st = 0xd15e_u64 + M::BITS as u64;
+        for row in 0..rows {
+            fast.begin_row();
+            slow.begin_row();
+            for _ in 0..lcg(&mut st) % ncols {
+                let j = lcg(&mut st) % ncols;
+                fast.set_mask(j);
+                slow.set_mask(j);
+            }
+            for len in 0..=40usize {
+                let mut cols: Vec<Idx> = (0..len).map(|_| lcg(&mut st) % ncols).collect();
+                cols.push(ncols - 1);
+                cols.sort_unstable();
+                cols.dedup();
+                let vals: Vec<f64> =
+                    cols.iter().map(|_| f64::from(lcg(&mut st) % 1000) / 7.0 + 0.1).collect();
+                let a = 1.0 + row as f64 / 3.0;
+                fast.accumulate_masked_run(a, &cols, &vals, true);
+                for (&j, &b) in cols.iter().zip(&vals) {
+                    slow.accumulate_masked(j, a, b);
+                }
+            }
+            assert!(fast.marks == slow.marks, "{} bits, row {row}", M::BITS);
+            let bits = |acc: &DenseAccumulator<PlusTimes, M, true>| -> Vec<u64> {
+                acc.vals.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&fast), bits(&slow), "{} bits, row {row}", M::BITS);
+            for j in 0..ncols {
+                assert_eq!(
+                    fast.written(j).map(f64::to_bits),
+                    slow.written(j).map(f64::to_bits),
+                    "{} bits, row {row}, column {j}",
+                    M::BITS
+                );
+            }
+        }
+        assert_eq!(fast.full_resets(), slow.full_resets());
+        assert_eq!(
+            (fast.mask_hits, fast.mask_misses, fast.unflushed_resets),
+            (slow.mask_hits, slow.mask_misses, slow.unflushed_resets),
+            "{} bits: metered tallies",
+            M::BITS
+        );
+        fast.full_resets()
+    }
+
+    #[test]
+    fn masked_run_matches_scalar_loop_at_every_marker_width() {
+        run_matches_scalar::<u8>(97, 20);
+        run_matches_scalar::<u16>(97, 20);
+        run_matches_scalar::<u32>(97, 20);
+        run_matches_scalar::<u64>(97, 20);
+    }
+
+    #[test]
+    fn masked_run_matches_scalar_loop_across_u8_epoch_overflow() {
+        // 300 rows at 2 epochs per row wrap the u8 marker twice; each
+        // wrap fully resets the marks between two compared rows
+        assert_eq!(run_matches_scalar::<u8>(64, 300), 2);
+    }
+
+    #[test]
+    #[should_panic]
+    fn masked_run_sends_out_of_range_columns_to_the_bounds_check() {
+        // a group holding a column past ncols falls back to the scalar
+        // loop, whose bounds check fires
+        let mut acc = Acc::new(20);
+        acc.begin_row();
+        acc.set_mask(3);
+        let cols: Vec<Idx> = (0..15).chain([1000]).collect();
+        acc.accumulate_masked_run(1.0, &cols, &[1.0; 16], true);
     }
 
     #[test]

@@ -10,7 +10,18 @@
 //! Slots carry the same epoch markers as the dense accumulator, so between-
 //! row resets are O(1) and narrow markers trade locality against periodic
 //! full clears (Fig. 13 applies to both families).
+//!
+//! The masked linear scan ([`Accumulator::accumulate_masked_run`]) can
+//! filter eight B columns at a time on AVX2: it hashes eight columns with
+//! vector multiplies and shifts, gathers the marks of their first slots and
+//! drops every lane whose first slot is stale. That is exact: no insertion
+//! happens during the scan, so a stale first slot is precisely where the
+//! scalar probe stops with a miss. A fresh first slot holding the column is
+//! updated directly; one holding another key walks the unchanged scalar
+//! chain. Every marker width is covered (the marks array carries a few
+//! bytes of padding so narrow marks can be read as 32-bit lanes).
 
+use crate::lanes;
 use crate::marker::{advance_epoch, Marker};
 use crate::Accumulator;
 use mspgemm_rt::{failpoint, obs};
@@ -24,9 +35,11 @@ use mspgemm_sparse::{Idx, Semiring};
 /// away the best-mixed high bits.)
 #[inline(always)]
 fn bucket_of(j: Idx, hash_shift: u32, cap_mask: usize) -> usize {
-    // 2^32 / φ rounded to odd — the classic Fibonacci constant
-    (j.wrapping_mul(2_654_435_769) >> hash_shift) as usize & cap_mask
+    (j.wrapping_mul(FIB) >> hash_shift) as usize & cap_mask
 }
+
+/// 2^32 / φ rounded to odd — the classic Fibonacci constant.
+const FIB: Idx = 2_654_435_769;
 
 /// Hash-table accumulator with `M`-typed epoch markers.
 ///
@@ -67,20 +80,14 @@ pub struct HashAccumulator<S: Semiring, M: Marker, const METER: bool = false, co
     /// Runtime half of the `SIMD` request: true only when AVX2 was
     /// actually detected on this CPU.
     simd_ok: bool,
+    /// Whether the masked-scan filter may engage: AVX2 was detected and
+    /// every slot index fits a signed 32-bit gather index (`cap ≤ 2^31`).
+    filter_ok: bool,
     /// Plain (non-atomic) observability scratch, only ever touched by the
     /// `METER = true` instantiation and folded into the global registry by
     /// [`Accumulator::flush_metrics`]; never atomic traffic. Boxed so the
     /// unmetered accumulator stays as small as the uninstrumented one.
     scratch: Box<ObsScratch>,
-}
-
-/// Cached one-shot AVX2 detection (the probe itself must stay branch-lean,
-/// so instances snapshot this into a plain bool at construction).
-#[cfg(target_arch = "x86_64")]
-fn avx2_available() -> bool {
-    use std::sync::OnceLock;
-    static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
 /// Instance-local observability scratch for [`HashAccumulator`].
@@ -129,14 +136,11 @@ impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool>
     pub fn with_row_capacity_slack(max_row_entries: usize, slack: usize) -> Self {
         let limit = max_row_entries.max(1);
         let cap = (limit * slack.max(2)).next_power_of_two();
-        #[cfg(target_arch = "x86_64")]
-        let simd_ok = SIMD && std::mem::size_of::<M>() == 4 && avx2_available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let simd_ok = false;
+        let simd_ok = SIMD && std::mem::size_of::<M>() == 4 && lanes::avx2_available();
         HashAccumulator {
             keys: vec![0; cap],
             vals: vec![S::zero(); cap],
-            marks: vec![M::default(); cap],
+            marks: vec![M::default(); cap + lanes::mark_pad::<M>()],
             cap_mask: cap - 1,
             hash_shift: (Idx::BITS).saturating_sub(cap.trailing_zeros()),
             cur: 0,
@@ -145,6 +149,7 @@ impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool>
             inserted: 0,
             overflowed: false,
             simd_ok,
+            filter_ok: cap <= 1 << 31 && lanes::avx2_available(),
             scratch: Box::default(),
         }
     }
@@ -250,11 +255,10 @@ impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool>
     /// count (a full group only advances when all eight lanes are fresh
     /// non-matches, i.e. exactly when the scalar loop would also walk all
     /// eight).
-    ///
-    /// # Safety
-    /// Caller must guarantee AVX2 is available and `size_of::<M>() == 4`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
+    /// # Safety
+    /// Caller must guarantee AVX2 is available and `size_of::<M>() == 4`.
     unsafe fn probe_avx2(&self, j: Idx, start: usize, steps_base: u64) -> (usize, bool, u64) {
         use std::arch::x86_64::*;
         debug_assert_eq!(std::mem::size_of::<M>(), 4);
@@ -336,6 +340,77 @@ impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool>
         }
         (s, found)
     }
+
+    /// The masked linear scan with the 8-lane first-slot filter (see the
+    /// module docs). Tallies stay exact under `METER`: a stale lane is one
+    /// probe of one step and a miss, a direct hit one probe of one step and
+    /// a hit, and a lane that walks the chain is counted by
+    /// `accumulate_masked` itself.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    /// # Safety
+    /// AVX2 is available and `capacity() ≤ 2^31` (`filter_ok`).
+    unsafe fn masked_run_avx2(&mut self, a: S::T, bcols: &[Idx], bvals: &[S::T]) {
+        use std::arch::x86_64::*;
+        let n = bcols.len().min(bvals.len());
+        let written = M::from_epoch(self.cur + 1);
+        let fib = _mm256_set1_epi32(FIB as i32);
+        let shift = _mm_cvtsi32_si128(self.hash_shift as i32);
+        let cap_mask = _mm256_set1_epi32(self.cap_mask as i32);
+        let mut slots = [0u32; 8];
+        let mut c = 0;
+        while c + 8 <= n {
+            // SAFETY: c + 8 <= n <= bcols.len(); unaligned load is fine
+            let vj = unsafe { _mm256_loadu_si256(bcols.as_ptr().add(c).cast()) };
+            // `bucket_of`, eight lanes at once: wrapping 32-bit multiply,
+            // logical shift, mask
+            let vs =
+                _mm256_and_si256(_mm256_srl_epi32(_mm256_mullo_epi32(vj, fib), shift), cap_mask);
+            // SAFETY: every lane is `& cap_mask`, so a slot index below
+            // cap ≤ 2^31, and `marks` carries `mark_pad` elements past cap
+            let fresh = unsafe { lanes::fresh_lanes(self.marks.as_ptr(), vs, self.cur) };
+            if METER {
+                let stale = 8 - u64::from(fresh.count_ones());
+                let sc = &mut *self.scratch;
+                sc.probes += stale;
+                sc.probe_steps += stale;
+                sc.mask_misses += stale;
+                sc.probe_hist.record_n(1, stale);
+            }
+            if fresh != 0 {
+                // SAFETY: `slots` is 8 u32s = 32 bytes; unaligned store
+                unsafe { _mm256_storeu_si256(slots.as_mut_ptr().cast(), vs) };
+                let mut live = fresh;
+                while live != 0 {
+                    let l = live.trailing_zeros() as usize;
+                    live &= live - 1;
+                    let (j, b, s) = (bcols[c + l], bvals[c + l], slots[l] as usize);
+                    if self.keys[s] != j {
+                        // a fresh slot holding another key: walk the chain
+                        self.accumulate_masked(j, a, b);
+                        continue;
+                    }
+                    if METER {
+                        let sc = &mut *self.scratch;
+                        sc.probes += 1;
+                        sc.probe_steps += 1;
+                        sc.mask_hits += 1;
+                        sc.probe_hist.record(1);
+                    }
+                    if self.marks[s] == written {
+                        self.vals[s] = S::fma(self.vals[s], a, b);
+                    } else {
+                        self.marks[s] = written;
+                        self.vals[s] = S::mul(a, b);
+                    }
+                }
+            }
+            c += 8;
+        }
+        for (&j, &b) in bcols[c..n].iter().zip(&bvals[c..n]) {
+            self.accumulate_masked(j, a, b);
+        }
+    }
 }
 
 impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool> Accumulator<S>
@@ -391,6 +466,22 @@ impl<S: Semiring, M: Marker, const METER: bool, const SIMD: bool> Accumulator<S>
             self.vals[s] = S::mul(a, b);
         }
         true
+    }
+
+    #[inline(always)]
+    fn accumulate_masked_run(&mut self, a: S::T, bcols: &[Idx], bvals: &[S::T], simd: bool) {
+        if simd && self.filter_ok && bcols.len() >= lanes::FILTER_MIN_LEN {
+            #[cfg(target_arch = "x86_64")]
+            {
+                // SAFETY: `filter_ok` holds only when AVX2 was detected at
+                // runtime and the capacity keeps slot indices below 2^31
+                unsafe { self.masked_run_avx2(a, bcols, bvals) };
+                return;
+            }
+        }
+        for (&j, &b) in bcols.iter().zip(bvals) {
+            self.accumulate_masked(j, a, b);
+        }
     }
 
     #[inline(always)]
@@ -762,6 +853,108 @@ mod tests {
         assert_eq!(scalar, simd);
         // the group probe must inspect exactly the slots the scalar one does
         assert_eq!(scalar_steps, simd_steps);
+    }
+
+    fn lcg(state: &mut u64) -> u32 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (*state >> 33) as u32
+    }
+
+    /// Drive two metered tables through the same rows, one scanning B
+    /// runs with `accumulate_masked_run(.., simd = true)` and one with the
+    /// scalar `accumulate_masked` loop, and require identical state,
+    /// `written()` values (to the bit) and tallies after every row. Runs
+    /// are 0..=40 columns long, so the 8-lane groups, their tails and the
+    /// engage cutoff are all crossed. Returns the number of run columns
+    /// whose first slot was fresh but held another key (the lanes that
+    /// must walk the scalar chain) and the full resets taken.
+    fn run_matches_scalar<M: Marker>(row_cap: usize, universe: u32, rows: usize) -> (usize, u64) {
+        let mut fast: HashAccumulator<PlusTimes, M, true> =
+            HashAccumulator::with_row_capacity(row_cap);
+        let mut slow: HashAccumulator<PlusTimes, M, true> =
+            HashAccumulator::with_row_capacity(row_cap);
+        let mut st = 0x5eed_u64 + M::BITS as u64;
+        let mut chained = 0;
+        for row in 0..rows {
+            fast.begin_row();
+            slow.begin_row();
+            for _ in 0..lcg(&mut st) as usize % (row_cap + 1) {
+                let j = lcg(&mut st) % universe;
+                fast.set_mask(j);
+                slow.set_mask(j);
+            }
+            for len in 0..=40usize {
+                let mut cols: Vec<Idx> = (0..len).map(|_| lcg(&mut st) % universe).collect();
+                cols.sort_unstable();
+                cols.dedup();
+                let vals: Vec<f64> =
+                    cols.iter().map(|_| f64::from(lcg(&mut st) % 1000) / 7.0 + 0.1).collect();
+                let a = 1.0 + row as f64 / 3.0;
+                chained += cols
+                    .iter()
+                    .filter(|&&j| {
+                        let s = fast.initial_bucket(j);
+                        let m = fast.marks[s];
+                        (m == M::from_epoch(fast.cur) || m == M::from_epoch(fast.cur + 1))
+                            && fast.keys[s] != j
+                    })
+                    .count();
+                fast.accumulate_masked_run(a, &cols, &vals, true);
+                for (&j, &b) in cols.iter().zip(&vals) {
+                    slow.accumulate_masked(j, a, b);
+                }
+            }
+            assert_eq!(fast.keys, slow.keys, "{} bits, row {row}", M::BITS);
+            assert!(fast.marks == slow.marks, "{} bits, row {row}", M::BITS);
+            let bits = |acc: &HashAccumulator<PlusTimes, M, true>| -> Vec<u64> {
+                acc.vals.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&fast), bits(&slow), "{} bits, row {row}", M::BITS);
+            for j in 0..universe {
+                assert_eq!(
+                    fast.written(j).map(f64::to_bits),
+                    slow.written(j).map(f64::to_bits),
+                    "{} bits, row {row}, column {j}",
+                    M::BITS
+                );
+            }
+        }
+        assert_eq!(fast.full_resets(), slow.full_resets());
+        let (f, s) = (&*fast.scratch, &*slow.scratch);
+        assert_eq!(
+            (f.probes, f.probe_steps, f.mask_hits, f.mask_misses),
+            (s.probes, s.probe_steps, s.mask_hits, s.mask_misses),
+            "{} bits: metered tallies",
+            M::BITS
+        );
+        assert_eq!(f.probe_hist.buckets, s.probe_hist.buckets, "{} bits", M::BITS);
+        (chained, fast.full_resets())
+    }
+
+    #[test]
+    fn masked_run_matches_scalar_loop_at_every_marker_width() {
+        run_matches_scalar::<u8>(48, 512, 20);
+        run_matches_scalar::<u16>(48, 512, 20);
+        run_matches_scalar::<u32>(48, 512, 20);
+        run_matches_scalar::<u64>(48, 512, 20);
+    }
+
+    #[test]
+    fn masked_run_matches_scalar_loop_across_u8_epoch_overflow() {
+        // 300 rows at 2 epochs per row wrap the u8 marker twice; each
+        // wrap fully resets the marks between two compared rows
+        let (_, resets) = run_matches_scalar::<u8>(16, 256, 300);
+        assert_eq!(resets, 2);
+    }
+
+    #[test]
+    fn masked_run_walks_the_chain_for_fresh_slots_of_other_keys() {
+        // cap-8 table at half load over a 64-column universe: many run
+        // columns land on a fresh first slot holding a different key and
+        // must take the scalar probe chain
+        let (chained, _) = run_matches_scalar::<u32>(4, 64, 40);
+        assert!(chained > 100, "only {chained} chained lanes exercised");
+        assert_eq!(Acc::with_row_capacity(4).capacity(), 8);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 pub mod dense;
 pub mod explicit;
 pub mod hash;
+mod lanes;
 pub mod marker;
 pub mod sink;
 pub mod sort;
@@ -49,7 +50,8 @@ use mspgemm_sparse::{Idx, Semiring};
 /// 2. optionally [`set_mask`](Accumulator::set_mask) for each column of
 ///    `M[i,:]` (the mask-preload kernels, Fig. 4/5 of the paper);
 /// 3. a mix of [`accumulate_masked`](Accumulator::accumulate_masked)
-///    (discards misses, Fig. 5 line 13) and/or
+///    (discards misses, Fig. 5 line 13; batched per B row by
+///    [`accumulate_masked_run`](Accumulator::accumulate_masked_run)) and/or
 ///    [`accumulate_any`](Accumulator::accumulate_any) (vanilla kernel,
 ///    Fig. 3 line 12);
 /// 4. [`gather`](Accumulator::gather) to emit the surviving entries of the
@@ -67,6 +69,23 @@ pub trait Accumulator<S: Semiring>: Send {
     /// this row; returns whether the update hit. This is the probe-and-
     /// update of Fig. 4.
     fn accumulate_masked(&mut self, j: Idx, a: S::T, b: S::T) -> bool;
+
+    /// The masked linear scan of one fetched `B[k,:]` (Fig. 5, Fig. 9
+    /// lines 20-26): [`accumulate_masked`](Self::accumulate_masked)`(j, a,
+    /// b)` for each `(j, b)` of `bcols`/`bvals`, in order.
+    ///
+    /// `simd` (the plan's resolved SIMD flag) lets the dense and hash
+    /// families reject non-mask columns eight lanes at a time. Every
+    /// implementation leaves exactly the state of this default loop: each
+    /// column is folded once, in order, with `mul` on first touch and
+    /// `fma` after.
+    #[inline(always)]
+    fn accumulate_masked_run(&mut self, a: S::T, bcols: &[Idx], bvals: &[S::T], simd: bool) {
+        let _ = simd;
+        for (&j, &b) in bcols.iter().zip(bvals) {
+            self.accumulate_masked(j, a, b);
+        }
+    }
 
     /// `acc[j] ⊕= a ⊗ b` unconditionally (the vanilla kernel's update; the
     /// mask is intersected later, at gather time).

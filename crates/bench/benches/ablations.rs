@@ -59,7 +59,7 @@ fn bench_reset_policy(c: &mut Micro) {
         let mut vals = Vec::new();
         for i in 0..a.nrows() {
             let (mask_cols, _) = a.row(i);
-            row_mask_accumulate(i, a, a, mask_cols, acc, &mut VecSink { cols: &mut cols, vals: &mut vals });
+            row_mask_accumulate(i, a, a, mask_cols, false, acc, &mut VecSink { cols: &mut cols, vals: &mut vals });
         }
         cols.len()
     }

@@ -100,8 +100,9 @@ impl Overbook {
     }
 }
 
-/// SIMD lane-width selection for the hot probe/search loops (the hash
-/// accumulator probe and the co-iteration binary search).
+/// SIMD lane-width selection for the hot probe/search loops (the masked
+/// linear scan's mask filter, the hash accumulator probe and the
+/// co-iteration binary search).
 ///
 /// Both variants are bit-identical — the vector paths reproduce the scalar
 /// loops' results exactly — so this is purely a performance axis.
@@ -111,10 +112,13 @@ impl Overbook {
 #[non_exhaustive]
 pub enum SimdMode {
     /// Let the plan pick the profitable vector paths (runtime detection,
-    /// AVX2 on x86-64): the co-iteration binary search vectorises, while
-    /// the hash probe stays scalar — slack-sized tables keep probe chains
-    /// inside the scalar fast path, where the group probe only adds setup
-    /// cost (see `HashAccumulator::with_row_capacity_slack`).
+    /// AVX2 on x86-64): the co-iteration binary search vectorises, and the
+    /// dense and hash accumulators reject non-mask B columns eight lanes
+    /// at a time in the masked linear scan (B rows of at least 16
+    /// columns). The hash probe's collision chain stays scalar:
+    /// slack-sized tables keep chains inside the scalar fast path, where
+    /// the group probe only adds setup cost (see
+    /// `HashAccumulator::with_row_capacity_slack`).
     Auto,
     /// Force the portable scalar loops (baseline for A/B benching).
     Scalar,

@@ -452,7 +452,9 @@ pub(crate) fn run_row<S, A, R, W>(
     }
     match iteration {
         IterationSpace::Vanilla => row_vanilla(i, a, b, mask_cols, acc, out),
-        IterationSpace::MaskAccumulate => row_mask_accumulate(i, a, b, mask_cols, acc, out),
+        IterationSpace::MaskAccumulate => {
+            row_mask_accumulate(i, a, b, mask_cols, simd, acc, out)
+        }
         IterationSpace::CoIterate => row_coiterate(i, a, b, mask_cols, simd, acc, out),
         IterationSpace::Hybrid { kappa } => {
             row_hybrid(i, a, b, mask_cols, kappa, simd, acc, out);

@@ -148,13 +148,17 @@ pub fn row_vanilla<S, A, R, W>(
 }
 
 /// Fig. 5 — the GrB kernel: load the mask into the accumulator first, then
-/// discard updates that miss it.
+/// discard updates that miss it. `simd` lets the accumulator reject
+/// non-mask columns eight lanes at a time
+/// ([`Accumulator::accumulate_masked_run`]) — bit-identical to the scalar
+/// scan.
 #[inline]
 pub fn row_mask_accumulate<S, A, R, W>(
     i: usize,
     a: &R,
     b: &Csr<S::T>,
     mask_cols: &[Idx],
+    simd: bool,
     acc: &mut A,
     out: &mut W,
 ) where
@@ -170,9 +174,7 @@ pub fn row_mask_accumulate<S, A, R, W>(
     let (acols, avals) = a.row(i);
     for (&k, &av) in acols.iter().zip(avals) {
         let (bcols, bvals) = b.row(k as usize);
-        for (&j, &bv) in bcols.iter().zip(bvals) {
-            acc.accumulate_masked(j, av, bv);
-        }
+        acc.accumulate_masked_run(av, bcols, bvals, simd);
     }
     acc.gather_into(mask_cols, out);
 }
@@ -212,7 +214,8 @@ pub fn row_coiterate<S, A, R, W>(
 /// Fig. 9 — the hybrid kernel: per fetched row `B[k,:]`, compare the
 /// co-iteration cost `W_co = nnz(M[i,:]) · log₂ nnz(B[k,:])` (Eq. 3)
 /// against `κ · nnz(B[k,:])` and take the cheaper traversal. This is the
-/// kernel that rescues `circuit5M` in the paper (Fig. 14d).
+/// kernel that rescues `circuit5M` in the paper (Fig. 14d). `simd`
+/// selects the AVX2 co-iteration search and the masked-scan filter.
 #[inline]
 pub fn row_hybrid<S, A, R, W>(
     i: usize,
@@ -252,9 +255,7 @@ pub fn row_hybrid<S, A, R, W>(
             }
         } else {
             // linear scan of B[k,:] (Fig. 9 lines 20-26)
-            for (&j, &bv) in bcols.iter().zip(bvals) {
-                acc.accumulate_masked(j, av, bv);
-            }
+            acc.accumulate_masked_run(av, bcols, bvals, simd);
         }
     }
     acc.gather_into(mask_cols, out);
@@ -315,7 +316,7 @@ mod tests {
         oc: &mut Vec<Idx>,
         ov: &mut Vec<f64>,
     ) {
-        row_mask_accumulate(i, a, b, m, acc, &mut VecSink { cols: oc, vals: ov })
+        row_mask_accumulate(i, a, b, m, false, acc, &mut VecSink { cols: oc, vals: ov })
     }
 
     fn vec_coiterate<A: Accumulator<PlusTimes>>(

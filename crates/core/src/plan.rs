@@ -138,8 +138,8 @@ pub(crate) struct PlanCore<T> {
     pub(crate) overbook_row_entries: usize,
     /// Dense-accumulator column bound: the widest node's `B.ncols`.
     pub(crate) max_ncols: usize,
-    /// Whether the SIMD co-iteration search is in effect for this plan
-    /// (see [`resolve_simd`]).
+    /// Whether the SIMD co-iteration search and the masked-scan filter
+    /// are in effect for this plan (see [`resolve_simd`]).
     pub(crate) simd: bool,
     /// Whether the AVX2 group probe hash accumulator is in effect (see
     /// [`resolve_simd`]).
@@ -149,8 +149,9 @@ pub(crate) struct PlanCore<T> {
 }
 
 /// Resolve the SIMD mode against the CPU, once per plan:
-/// `(simd, simd_probe)`. The co-iteration search vectorises unless
-/// `Scalar` is forced. The AVX2 group probe of the hash accumulator stays
+/// `(simd, simd_probe)`. The co-iteration search and the accumulators'
+/// masked-scan filter vectorise unless `Scalar` is forced. The AVX2 group
+/// probe of the hash accumulator stays
 /// off under `Auto`: slack-sized tables (see `engine::hash_slack`) keep
 /// probe chains within the scalar fast path, so the group probe's setup
 /// cost never pays for itself there. Only `Force` (plus CPU support)

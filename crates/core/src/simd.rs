@@ -61,10 +61,13 @@ pub fn find(xs: &[Idx], j: Idx, simd: bool) -> Option<usize> {
     xs.binary_search(&j).ok()
 }
 
-/// The AVX2 search: branchless halving to a ≤ 16-wide window, then 8-lane
-/// equality scans. Caller guarantees `xs.len() >= 8` and AVX2 support.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+/// The AVX2 search: branchless halving to a ≤ 16-wide window, then 8-lane
+/// equality scans.
+///
+/// # Safety
+/// AVX2 is available and `xs.len() >= 8`.
 unsafe fn find_avx2(xs: &[Idx], j: Idx) -> Option<usize> {
     use std::arch::x86_64::*;
     let ptr = xs.as_ptr();

@@ -172,3 +172,50 @@ fn thread_busy_histogram_counts_every_worker() {
         );
     });
 }
+
+#[test]
+fn masked_scan_filter_keeps_accumulator_and_hybrid_counts_exact() {
+    use mspgemm_accum::{AccumulatorKind, MarkerWidth};
+    use mspgemm_core::SimdMode;
+    use mspgemm_gen::rmat::{rmat, RmatParams};
+    // skewed R-MAT: hub rows are long enough for the 8-lane filter, the
+    // tail stays on the scalar loop; the counts must not tell them apart
+    let a = rmat(10, 16, RmatParams::default(), 11);
+    for (accumulator, iteration) in [
+        (AccumulatorKind::Hash(MarkerWidth::W32), IterationSpace::Hybrid { kappa: 1.0 }),
+        (AccumulatorKind::Hash(MarkerWidth::W8), IterationSpace::MaskAccumulate),
+        (AccumulatorKind::Dense(MarkerWidth::W16), IterationSpace::Hybrid { kappa: 1.0 }),
+    ] {
+        let counts = |simd| {
+            let cfg = Config::builder()
+                .n_threads(2)
+                .n_tiles(8)
+                .kernel_policy(
+                    KernelPolicy::new().accumulator(accumulator).iteration(iteration).simd(simd),
+                )
+                .build();
+            with_armed_metrics(|| {
+                let (c, stats) = spgemm::<PlusTimes>(&a, &a, &a, &cfg).unwrap();
+                let m = stats.metrics.unwrap();
+                let names = [
+                    "accum.hash.probes",
+                    "accum.hash.probe_steps",
+                    "accum.mask_preload.hits",
+                    "accum.mask_preload.misses",
+                    "kernel.hybrid.coiterate",
+                    "kernel.hybrid.saxpy",
+                    "kernel.binary_search_steps",
+                ];
+                let counters: Vec<u64> = names.iter().map(|n| m.counter(n)).collect();
+                (c, counters, m.hist("accum.hash.probe_len").map(|h| h.to_vec()))
+            })
+        };
+        let (c_scalar, scalar, hist_scalar) = counts(SimdMode::Scalar);
+        let (c_auto, auto, hist_auto) = counts(SimdMode::Auto);
+        let label = accumulator.label();
+        assert_eq!(c_scalar, c_auto, "{label}: outputs");
+        assert_eq!(scalar, auto, "{label}: probe, mask and hybrid counts");
+        assert_eq!(hist_scalar, hist_auto, "{label}: probe-length histogram");
+        assert!(scalar[2] > 0 && scalar[3] > 0, "{label}: the scan both hits and misses");
+    }
+}

@@ -271,6 +271,12 @@ impl LocalHist {
         self.buckets[bucket_index(value)] += 1;
     }
 
+    /// Record `n` observations of the same `value` at once.
+    #[inline(always)]
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        self.buckets[bucket_index(value)] += n;
+    }
+
     /// Total observations recorded since the last flush.
     pub fn count(&self) -> u64 {
         self.buckets.iter().sum()

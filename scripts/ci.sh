@@ -206,7 +206,8 @@ for f in crates/sched/src/pool.rs crates/sched/src/persistent.rs \
          crates/core/src/driver.rs crates/core/src/plan.rs \
          crates/core/src/executor.rs crates/core/src/service.rs \
          crates/core/src/stress.rs crates/core/src/graph.rs \
-         crates/core/src/engine.rs crates/core/src/simd.rs; do
+         crates/core/src/engine.rs crates/core/src/simd.rs \
+         crates/accum/src/hash.rs crates/accum/src/dense.rs; do
     hits=$(awk '/^#\[cfg\(test\)\]/ { exit }
                 /^[[:space:]]*\/\// { next }
                 /\.unwrap\(\)|\.expect\(|panic!/ { print FILENAME ":" FNR ": " $0 }' "$f")
@@ -217,7 +218,30 @@ for f in crates/sched/src/pool.rs crates/sched/src/persistent.rs \
     fi
 done
 [ "$gate_fail" -eq 0 ] || exit 1
-echo "ok: pool/persistent/submit/cancel/driver/plan/executor/service/stress/graph/engine/simd non-test code is unwrap/panic free"
+echo "ok: pool/persistent/submit/cancel/driver/plan/executor/service/stress/graph/engine/simd/hash/dense non-test code is unwrap/panic free"
+
+echo "== unsafe-justification grep gate =="
+# The accumulators and the SIMD search hold the repository's vector
+# paths: raw-pointer loads, gathers and target-feature calls. Every
+# `unsafe` block or `unsafe fn` in their non-test code must state its
+# contract: a `// SAFETY:` comment (blocks) or a `# Safety` doc section
+# (functions) within the 3 lines above it. Test modules (from
+# `#[cfg(test)]` onward) and comment lines are exempt.
+hits=$(for f in crates/accum/src/*.rs crates/core/src/simd.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         !/^[[:space:]]*\/\// && /unsafe[[:space:]]*\{|unsafe fn/ {
+             if (!(p1 ~ /\/\/ SAFETY:|# Safety/ || p2 ~ /\/\/ SAFETY:|# Safety/ \
+                   || p3 ~ /\/\/ SAFETY:|# Safety/))
+                 print FILENAME ":" FNR ": " $0
+         }
+         { p3 = p2; p2 = p1; p1 = $0 }' "$f"
+done)
+if [ -n "$hits" ]; then
+    echo "FAIL: unsafe code without a SAFETY comment or # Safety section above it:" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+echo "ok: every unsafe block and unsafe fn in accum and simd states its contract"
 
 echo "== fusion smoke (fused vs unfused k-truss + counters) =="
 # The ktruss subcommand runs the fused PlanGraph pipeline and the unfused

@@ -214,3 +214,87 @@ fn symmetric_input_gives_symmetric_masked_square() {
         assert_eq!(c, ct, "{name}: values must be symmetric too");
     }
 }
+
+/// Seeded operands for the bit-identity grid: `B` row `k` holds exactly
+/// `k % 21` distinct columns (0..=20: below, at and across multiples of
+/// the 8-lane filter width) and every third non-empty row ends at
+/// `ncols - 1`. Values are non-integer, so a changed fold order or a
+/// changed first touch shows in the low bits.
+fn filter_grid_operands() -> (Csr<f64>, Csr<f64>, Csr<f64>) {
+    let (n, ncols) = (126usize, 173usize);
+    let mut state = 0x9e37_79b9_u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let mut a = Coo::new(n, n);
+    let mut b = Coo::new(n, ncols);
+    let mut mask = Coo::new(n, ncols);
+    for i in 0..n {
+        for _ in 0..6 {
+            let k = next() % n;
+            a.push(i, k, (next() % 1000) as f64 / 7.0 + 0.1);
+        }
+        let len = i % 21;
+        let mut cols: Vec<usize> = Vec::new();
+        if len > 0 && i % 3 == 0 {
+            cols.push(ncols - 1);
+        }
+        while cols.len() < len {
+            let j = next() % ncols;
+            if !cols.contains(&j) {
+                cols.push(j);
+            }
+        }
+        for j in cols {
+            b.push(i, j, (next() % 1000) as f64 / 7.0 + 0.1);
+        }
+        // mask rows from empty to half-full, so the hybrid kernel both
+        // co-iterates and scans linearly
+        for _ in 0..next() % (ncols / 2) {
+            mask.push(i, next() % ncols, 1.0);
+        }
+    }
+    let first = |x: f64, _: f64| x;
+    (a.to_csr_with(first), b.to_csr_with(first), mask.to_csr_with(first))
+}
+
+#[test]
+fn masked_scan_filter_is_bit_identical_to_scalar() {
+    let (a, b, mask) = filter_grid_operands();
+    assert!((0..b.nrows()).any(|k| b.row_nnz(k) == 20));
+    assert!(b.col_idx().contains(&(b.ncols() as u32 - 1)));
+    let want = Dense::masked_matmul::<PlusTimes, f64>(&a, &b, &mask);
+    let bits = |c: &Csr<f64>| -> Vec<u64> { c.values().iter().map(|v| v.to_bits()).collect() };
+    for accumulator in AccumulatorKind::all() {
+        for iteration in [
+            IterationSpace::MaskAccumulate,
+            IterationSpace::Hybrid { kappa: 0.25 },
+            IterationSpace::Hybrid { kappa: 1.0 },
+            IterationSpace::Hybrid { kappa: 4.0 },
+        ] {
+            let run = |simd| {
+                let cfg = Config::builder()
+                    .kernel_policy(
+                        KernelPolicy::new()
+                            .accumulator(accumulator)
+                            .iteration(iteration)
+                            .simd(simd),
+                    )
+                    .n_threads(2)
+                    .n_tiles(8)
+                    .build();
+                spgemm::<PlusTimes>(&a, &b, &mask, &cfg).unwrap().0
+            };
+            let scalar = run(SimdMode::Scalar);
+            let label = format!("{} / {}", accumulator.label(), iteration.label());
+            assert_eq!(scalar, want, "{label}: scalar vs oracle");
+            assert_eq!(bits(&scalar), bits(&want), "{label}: scalar vs oracle bits");
+            for simd in [SimdMode::Auto, SimdMode::Force] {
+                let got = run(simd);
+                assert_eq!(got, scalar, "{label} / {}", simd.label());
+                assert_eq!(bits(&got), bits(&scalar), "{label} / {}: value bits", simd.label());
+            }
+        }
+    }
+}
