@@ -1,7 +1,7 @@
 //! Overbooked-accumulator + SIMD-probe ablation (the `KernelPolicy`
 //! overbook/simd axes).
 //!
-//! Overbooking sizes the worker-persistent hash accumulator at a quantile
+//! Overbooking sizes the per-worker hash accumulator at a quantile
 //! of the per-row mask bounds instead of the max. The overflow latch then
 //! doubles as a cheap *outlier-row detector*: a row that outgrows the
 //! quantile bound is recomputed through the mask-indexed dense spill path

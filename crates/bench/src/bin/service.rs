@@ -3,14 +3,16 @@
 //! A single [`Session`](mspgemm_core::Session) caller pays one full pool
 //! synchronisation per masked product; for frontier-sized products the
 //! sync is a large fraction of the call. The [`Service`] coalesces jobs
-//! from concurrent tenants into one tiled run per dispatch batch
+//! from concurrent tenants into one driver run over a job list per
+//! dispatch batch, drained by the pool's one claim loop
 //! (`WorkerPool::run_tiles_multi`), so the fork/join cost is paid once
 //! per *batch*. This bench measures that directly: the same total number
 //! of identical frontier-mask jobs, pushed through the service by 1, 8
 //! and 64 closed-loop tenants (each keeps exactly one job in flight).
 //!
 //! * `tenants = 1` is the serial-submission baseline: every batch is a
-//!   singleton, so the service adds queue hops but no coalescing.
+//!   singleton, the run of one job (exactly a plan run), so the service
+//!   adds queue hops but no coalescing.
 //! * `tenants = 8 / 64` let the dispatcher batch up to `batch_max` jobs
 //!   per pool synchronisation; `speedup_vs_serial` is the aggregate
 //!   throughput against the `tenants = 1` row.

@@ -23,7 +23,7 @@
 use crate::config::Config;
 use crate::engine::pool_error;
 use crate::executor::Executor;
-use mspgemm_sched::{tile::uniform_tiles, PoolRunError};
+use mspgemm_sched::{tile::uniform_tiles, MultiRun, WorkerScratch};
 use mspgemm_sparse::{Csc, Csr, Idx, Semiring, SparseError};
 use std::sync::OnceLock;
 
@@ -101,50 +101,43 @@ pub fn masked_spgemm_dot<S: Semiring>(
     // runs on the global executor's persistent pool, under its run lock
     // like every other pool run (per-run metric deltas never interleave)
     let exec = Executor::global().shared();
-    let outcome = {
-        let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
-        exec.pool.run_tiles(n_threads, tiles.len(), config.schedule, |_, _, t| {
-            let tile = tiles[t];
-            let mut row_nnz = Vec::with_capacity(tile.len());
-            let mut cols = Vec::new();
-            let mut vals = Vec::new();
-            for i in tile.rows() {
-                let before = cols.len();
-                let (acols, avals) = a.row(i);
-                let (mcols, _) = mask.row(i);
-                if !acols.is_empty() {
-                    for &j in mcols {
-                        let (brows, bvals) = b.col(j as usize);
-                        if let Some(v) = sparse_dot::<S>(acols, avals, brows, bvals) {
-                            cols.push(j);
-                            vals.push(v);
-                        }
+    let body = |_: usize, _: &mut WorkerScratch, t: usize| {
+        let tile = tiles[t];
+        let mut row_nnz = Vec::with_capacity(tile.len());
+        let mut cols = Vec::new();
+        let mut vals = Vec::new();
+        for i in tile.rows() {
+            let before = cols.len();
+            let (acols, avals) = a.row(i);
+            let (mcols, _) = mask.row(i);
+            if !acols.is_empty() {
+                for &j in mcols {
+                    let (brows, bvals) = b.col(j as usize);
+                    if let Some(v) = sparse_dot::<S>(acols, avals, brows, bvals) {
+                        cols.push(j);
+                        vals.push(v);
                     }
                 }
-                row_nnz.push((cols.len() - before) as u32);
             }
-            let _ = results[t].set(TileOut { row_nnz, cols, vals });
-        })
+            row_nnz.push((cols.len() - before) as u32);
+        }
+        let _ = results[t].set(TileOut { row_nnz, cols, vals });
+    };
+    let run = MultiRun { n_tiles: tiles.len(), weight: 1, cancel: None, body: &body };
+    let outcome = {
+        let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
+        exec.pool.run_tiles_multi(n_threads, config.schedule, &[run]).map_err(pool_error)?
     };
 
     // No degraded retry here: the dot kernel has no alternative
     // configuration to fall back across, so a failed tile surfaces
     // directly (the first failure names the tile).
-    match outcome {
-        Ok(_) => {}
-        Err(PoolRunError::Pool(e)) => return Err(pool_error(e)),
-        Err(PoolRunError::Tiles(failed)) => {
-            let first = &failed.failures[0];
-            let tile = tiles.get(first.tile).copied().unwrap_or(mspgemm_sched::Tile {
-                lo: 0,
-                hi: a.nrows(),
-            });
-            return Err(SparseError::TileFailed {
-                tile: first.tile,
-                rows: (tile.lo, tile.hi),
-                detail: first.payload.clone(),
-            });
-        }
+    if let Some(first) = outcome.failures.iter().flatten().next() {
+        return Err(SparseError::TileFailed {
+            tile: first.tile,
+            rows: tiles.get(first.tile).map_or((0, a.nrows()), |t| (t.lo, t.hi)),
+            detail: first.payload.clone(),
+        });
     }
 
     let mut row_ptr = Vec::with_capacity(a.nrows() + 1);

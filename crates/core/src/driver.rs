@@ -21,13 +21,14 @@
 //! worker's window — sound because output row `i` reads only row `i` of
 //! `A`, and every node shares the row partition.
 //!
-//! Steps 2 and 3 run on the tile-run engine (`crate::engine`), in two
-//! claim shapes. A plan run claims its tiles under the configured
-//! [`Schedule`](mspgemm_sched::Schedule); a Service batch interleaves the
-//! tiles of many one-node plans into one pool synchronisation
-//! (`WorkerPool::run_tiles_multi`). Both run the same tile body and the
-//! same settle; they differ only in where a worker's accumulator is
-//! cached (see `TileBody`).
+//! Steps 2 and 3 run on the tile-run engine (`crate::engine`), through
+//! one run over a list of jobs (`run`): a plan run is the list of one,
+//! a Service batch the list of many one-node plans, all drained by the
+//! pool's one claim loop (`WorkerPool::run_tiles_multi`). Every job runs
+//! the same tile body, keeps its workers' accumulators in its plan's
+//! cells and settles the same way; only the claim schedule, the
+//! compaction and the metrics delta follow a rule on the job count (see
+//! `run`).
 //!
 //! # Output assembly
 //!
@@ -57,21 +58,21 @@
 
 use crate::config::Config;
 use crate::engine::{
-    compact, compute_tile, dispatch, hash_slack, pool_error, recover, tile_outcome, AccVisitor,
-    NoPost, RetryStats, RowKernel, RowPost, SlotBufs, TileAcc, TileLedger, TileSlots, TileWindow,
+    compact, compute_tile, dispatch, hash_slack, pool_error, recover, AccVisitor, NoPost,
+    RetryStats, RowKernel, RowPost, SlotBufs, TileAcc, TileLedger, TileSlots, TileWindow,
 };
 use crate::executor::{Executor, ExecutorShared};
 use crate::kernels::RowRead;
-use crate::plan::{sole, Node, OperandRef, Outputs, PlanCore, PlanScratch, PostOpSpec};
+use crate::plan::{Node, OperandRef, Outputs, PlanCore, PlanScratch, PostOpSpec};
 use mspgemm_accum::{Accumulator, DenseAccumulator, FusedOp, FusedStage};
 use mspgemm_rt::{failpoint, obs};
 use mspgemm_sched::{
-    CancelToken, MultiOutcome, MultiRun, ThreadReport, TileFailure, WorkerPool, WorkerScratch,
+    CancelToken, MultiRun, Schedule, ThreadReport, TileFailure, WorkerPool, WorkerScratch,
 };
 use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
 use std::any::Any;
 use std::marker::PhantomData;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Measurements from one driver invocation.
@@ -297,9 +298,9 @@ fn run_tile<'b, T>(
     n_tiles: usize,
     slots: &[TileSlots<'b, T>],
     ledger: &TileLedger,
-    ws: &mut WorkerScratch,
+    ws: &WorkerScratch,
     t: usize,
-    body: impl FnOnce(&mut WorkerScratch, &mut [TileWindow<'b, T>]) -> Option<u64>,
+    body: impl FnOnce(&mut [TileWindow<'b, T>]) -> Option<u64>,
 ) {
     for ni in 0..slots.len() {
         // decorrelate per-node failures under fault injection
@@ -312,14 +313,14 @@ fn run_tile<'b, T>(
     }
     let spills = if let [only] = slots {
         let Some(mut w) = only.claim(t, ledger) else { return };
-        body(ws, std::slice::from_mut(&mut w))
+        body(std::slice::from_mut(&mut w))
     } else {
         let mut windows = Vec::with_capacity(slots.len());
         for s in slots {
             let Some(w) = s.claim(t, ledger) else { return };
             windows.push(w);
         }
-        let spills = body(ws, &mut windows);
+        let spills = body(&mut windows);
         obs::add(obs::Counter::FusionTilesChained, slots.len().saturating_sub(1) as u64);
         spills
     };
@@ -381,107 +382,162 @@ fn settle<S: Semiring, P: PostOps<S::T>>(
     Ok((outputs, retry))
 }
 
-/// Execute a frozen plan on an executor: the run behind every entry point
-/// except Service batches. Holds the executor's run lock for the whole
-/// run so per-run metric deltas never interleave; compacts on the pool
-/// once an output reaches `MSPGEMM_COMPACT_PAR_MIN` bytes. Inside the
-/// metrics window every run counts `driver.runs`, a kept plan's run
-/// (`planned`) `exec.plan_executes`, and a graph's its fused ops.
-pub(crate) fn run<S: Semiring, P: PostOps<S::T>>(
-    exec: &ExecutorShared,
-    core: &PlanCore<S::T>,
-    scratch: &mut PlanScratch<S>,
-    inputs: &[&Csr<S::T>],
-    cancel: Option<&CancelToken>,
-    setup: Duration,
-    planned: bool,
-) -> Outputs<S::T, RunStats> {
-    let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
-    let before = obs::armed().then(obs::snapshot);
-    obs::incr(obs::Counter::DriverRuns);
-    if planned {
-        obs::incr(obs::Counter::ExecPlanExecutes);
-    }
-    if P::FUSED {
-        let n_post: usize = core.nodes.iter().map(|n| n.post.len()).sum();
-        obs::add(obs::Counter::FusionOpsFused, (core.nodes.len() + n_post) as u64);
-    }
-
-    let start = Instant::now();
-    note_overbook_savings::<S>(core);
-    let ledger = TileLedger::new(core.tiles.len());
-    let outcome = {
-        let slots = tile_slots::<S>(core, &mut scratch.slots)?;
-        let body = TileBody::<S, P> {
-            core,
-            inputs,
-            slots: &slots,
-            ledger: &ledger,
-            cells: None,
-            post: PhantomData,
-        };
-        let body = dispatch_core::<S, _>(core, body);
-        let (n_tiles, schedule) = (core.tiles.len(), core.config.schedule);
-        exec.pool.run_tiles_cancellable(core.n_threads, n_tiles, schedule, cancel, &*body)
-    };
-    let (reports, failures) = tile_outcome(outcome)?;
-    let par = Some((&exec.pool, core.n_threads));
-    let (outputs, retry) =
-        settle::<S, P>(core, inputs, ledger, &failures, cancel, &mut scratch.slots, par)?;
-    let output_nnz = outputs.iter().map(|c| c.nnz()).sum();
-    let metrics = before.map(|b| obs::snapshot().delta_since(&b));
-    let work = (core.estimated_work, core.tiles.len(), core.n_threads);
-    let stats = RunStats::new(start.elapsed(), setup, retry, reports, output_nnz, work, metrics);
-    Ok((outputs, stats))
-}
-
-/// One prepared product inside a [`run_batch`] call: a one-node plan
-/// core, its operands and cross-run scratch, plus the fairness weight the
-/// multiplexed tile interleave gives this job.
-pub(crate) struct BatchJob<'r, S: Semiring> {
+/// One plan run inside [`run`]: a frozen core, its inputs and cross-run
+/// scratch, plus the fairness weight the interleaved claim order gives
+/// it among several jobs.
+pub(crate) struct Job<'r, S: Semiring> {
     pub(crate) core: &'r PlanCore<S::T>,
-    /// The product's inputs `[A, B, M]`.
-    pub(crate) inputs: [&'r Csr<S::T>; 3],
+    /// The plan's positional inputs (`[A, B, M]` for a product).
+    pub(crate) inputs: &'r [&'r Csr<S::T>],
     pub(crate) scratch: &'r mut PlanScratch<S>,
     /// Tiles this job contributes per round of the interleaved claim
     /// order (see [`mspgemm_sched::MultiRun::weight`]).
     pub(crate) weight: u32,
-    /// Symbolic-phase wall time attributed to this job (plan lookup /
-    /// preparation on the submitter side), reported in its `RunStats`.
+    /// Symbolic-phase wall time attributed to this job, reported in its
+    /// `RunStats`.
     pub(crate) setup: Duration,
     /// Cooperative cancellation for this job alone: once the token fires
-    /// (client cancel or enforced deadline) the claim loop stops issuing
-    /// its tiles and the settle reports [`SparseError::Cancelled`] /
+    /// (client cancel or enforced deadline) its tiles stop being issued
+    /// and the settle reports [`SparseError::Cancelled`] /
     /// [`SparseError::DeadlineExceeded`]. Sibling jobs are untouched.
     pub(crate) cancel: Option<&'r CancelToken>,
 }
 
-/// One worker's accumulator cell of one batch job (see [`TileBody`]).
+/// One worker's accumulator cell of one job (see [`TileBody`]).
 type AccCell = Mutex<Option<Box<dyn Any + Send>>>;
 
-/// A batch job's slot buffers and accumulator cells, leased from its plan.
-type Lease<T> = (Vec<SlotBufs<T>>, Vec<AccCell>);
-
-/// The type-erased tile body of one plan core: [`run_tile`] around the
-/// chain loop, over a worker accumulator sized at the plan's overbooked
-/// bound (spill rebuilds use the hard bound).
+/// Execute a list of jobs on an executor in one run-lock window and one
+/// pool synchronisation — the run behind every entry point. A plan run
+/// (`spgemm`, `Plan`, `Session`, `PlanGraph`) is a list of one; a Service
+/// batch is a list of many one-node plans. Results come back in job
+/// order, each job settling from its own failure accounting, so one
+/// tenant's tile panics never fail a sibling's product. Inside the
+/// window every job counts `driver.runs`, a kept plan's run (`planned`)
+/// `exec.plan_executes`, and a graph its fused ops.
 ///
-/// A plan run keeps each worker's accumulator in its cross-run
-/// [`WorkerScratch`], keyed by plan identity: it survives every tile the
-/// worker claims *and* — under a reused plan — every run of the plan. A
-/// Service batch cannot: workers interleave tiles of *different* jobs,
-/// and the worker scratch has exactly one slot, so parking per-job state
-/// there would rebuild it on every job switch. Each batch job instead
-/// reads a per-worker cell (`cells`) from its plan scratch
-/// (`PlanScratch::accums`), built lazily on the worker's first tile of
-/// the job and *persisted across runs* of the leased plan. A stale or
-/// poisoned cell is rebuilt from clean (see [`lock_cell`]).
+/// What differs is a rule on the job count:
+///
+/// * **one job** claims its tiles under its config's `Schedule` on its
+///   `n_threads`, compacts on the pool once an output reaches
+///   `MSPGEMM_COMPACT_PAR_MIN` bytes, and returns its `RunStats::metrics`
+///   delta (the run lock keeps deltas from interleaving);
+/// * **several jobs** interleave their tiles by weight under
+///   `Dynamic { chunk: 1 }` (the right grain for many *small* products)
+///   on the widest job's thread count, compact serially per job (nesting
+///   a pool run inside the settle would serialize against the very
+///   synchronisation the batch amortises), and return `metrics: None`:
+///   process-global counter deltas cannot be split across interleaved
+///   jobs. Their `thread_reports` are the whole batch's, and `elapsed` is
+///   the shared parallel window plus the job's own settle.
+pub(crate) fn run<S: Semiring, P: PostOps<S::T>>(
+    exec: &ExecutorShared,
+    mut jobs: Vec<Job<'_, S>>,
+    planned: bool,
+) -> Vec<Outputs<S::T, RunStats>> {
+    let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
+    let before = (jobs.len() == 1 && obs::armed()).then(obs::snapshot);
+    let (schedule, n_threads) = match &jobs[..] {
+        [job] => (job.core.config.schedule, job.core.n_threads),
+        _ => {
+            let widest = jobs.iter().map(|j| j.core.n_threads).max().unwrap_or(1);
+            (Schedule::Dynamic { chunk: 1 }, widest)
+        }
+    };
+    // slot buffers and accumulator cells are leased from each job's plan
+    // scratch, so a kept plan re-executes without rebuilding them
+    let mut bufs = Vec::with_capacity(jobs.len());
+    let mut cells = Vec::with_capacity(jobs.len());
+    for job in &mut jobs {
+        obs::incr(obs::Counter::DriverRuns);
+        if planned {
+            obs::incr(obs::Counter::ExecPlanExecutes);
+        }
+        if P::FUSED {
+            let n_post: usize = job.core.nodes.iter().map(|n| n.post.len()).sum();
+            obs::add(obs::Counter::FusionOpsFused, (job.core.nodes.len() + n_post) as u64);
+        }
+        note_overbook_savings::<S>(job.core);
+        bufs.push(std::mem::take(&mut job.scratch.slots));
+        let mut accs = std::mem::take(&mut job.scratch.accums);
+        if accs.len() < n_threads {
+            accs.resize_with(n_threads, || Mutex::new(None));
+        }
+        cells.push(accs);
+    }
+    let ledgers: Vec<TileLedger> =
+        jobs.iter().map(|j| TileLedger::new(j.core.tiles.len())).collect();
+
+    let start = Instant::now();
+    let outcome = jobs
+        .iter()
+        .zip(&mut bufs)
+        .map(|(job, bufs)| tile_slots::<S>(job.core, bufs))
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(|slots| {
+            let bodies: Vec<_> = (jobs.iter().zip(&slots).zip(&ledgers).zip(&cells))
+                .map(|(((job, slots), ledger), cells)| {
+                    let (core, inputs) = (job.core, job.inputs);
+                    let post = PhantomData;
+                    let body = TileBody::<S, P> { core, inputs, slots, ledger, cells, post };
+                    dispatch_core::<S, _>(core, body)
+                })
+                .collect();
+            let runs: Vec<MultiRun<'_>> = (jobs.iter().zip(&bodies))
+                .map(|(job, body)| MultiRun {
+                    n_tiles: job.core.tiles.len(),
+                    weight: job.weight,
+                    cancel: job.cancel,
+                    body: body.as_ref(),
+                })
+                .collect();
+            exec.pool.run_tiles_multi(n_threads, schedule, &runs).map_err(pool_error)
+        });
+    let parallel = start.elapsed();
+
+    let par = (jobs.len() == 1).then_some((&exec.pool, n_threads));
+    let results = match outcome {
+        Err(e) => jobs.iter().map(|_| Err(e.clone())).collect(),
+        Ok(out) => (jobs.iter().zip(&mut bufs).zip(ledgers).zip(&out.failures))
+            .map(|(((job, bufs), ledger), failures)| {
+                let settle_start = Instant::now();
+                let (core, inputs) = (job.core, job.inputs);
+                let (outputs, retry) =
+                    settle::<S, P>(core, inputs, ledger, failures, job.cancel, bufs, par)?;
+                let output_nnz = outputs.iter().map(|c| c.nnz()).sum();
+                let metrics = before.as_ref().map(|b| obs::snapshot().delta_since(b));
+                let window = parallel + settle_start.elapsed();
+                let work = (core.estimated_work, core.tiles.len(), n_threads);
+                let (setup, reports) = (job.setup, out.reports.clone());
+                let stats = RunStats::new(window, setup, retry, reports, output_nnz, work, metrics);
+                Ok((outputs, stats))
+            })
+            .collect(),
+    };
+    // hand the leases back on every outcome path: a failed run must not
+    // cost a kept plan its buffers and accumulators
+    for ((job, bufs), cells) in jobs.iter_mut().zip(bufs).zip(cells) {
+        job.scratch.slots = bufs;
+        job.scratch.accums = cells;
+    }
+    results
+}
+
+/// The type-erased tile body of one job: [`run_tile`] around the chain
+/// loop, over a worker accumulator sized at the plan's overbooked bound
+/// (spill rebuilds use the hard bound).
+///
+/// Each worker's accumulator lives in its cell of the plan's scratch
+/// (`PlanScratch::accums`, one cell per worker index), built lazily on
+/// the worker's first tile of the job. It survives every tile the worker
+/// claims and, under a kept plan, every run of the plan, whatever other
+/// plans ran in between. A stale or poisoned cell is rebuilt from clean
+/// (see [`lock_cell`]).
 struct TileBody<'x, S: Semiring, P> {
     core: &'x PlanCore<S::T>,
     inputs: &'x [&'x Csr<S::T>],
     slots: &'x [TileSlots<'x, S::T>],
     ledger: &'x TileLedger,
-    cells: Option<&'x [AccCell]>,
+    cells: &'x [AccCell],
     post: PhantomData<fn() -> P>,
 }
 
@@ -498,35 +554,39 @@ impl<'x, S: Semiring, P: PostOps<S::T>> AccVisitor<S> for TileBody<'x, S, P> {
         let iteration = core.config.kernel.iteration;
         let k = RowKernel { iteration, simd: core.simd, overbook_limit: overbook };
         Box::new(move |worker, ws, t| {
-            run_tile(core.tiles.len(), self.slots, self.ledger, ws, t, |ws, windows| {
-                let build = || TileAcc::new(make(overbook));
-                let mut cell;
-                let ta = match self.cells {
-                    None => ws.get_or_build(core.plan_id, build),
-                    Some(cells) => {
-                        cell = lock_cell(&cells[worker % cells.len()]);
-                        // `None` is unreachable (the cell was just filled);
-                        // bailing leaves the tile missing for the settle
-                        cached(&mut cell, build)?
-                    }
+            run_tile(core.tiles.len(), self.slots, self.ledger, ws, t, |windows| {
+                let mut cell = lock_cell(&self.cells[worker % self.cells.len()]);
+                let mut spare = None;
+                // a cell held by a stalled thread the watchdog superseded
+                // at this worker index leaves the tile a spare
+                let slot = match cell.as_deref_mut() {
+                    Some(slot) => slot,
+                    None => &mut spare,
                 };
+                // `None` is unreachable (the slot was just filled); bailing
+                // leaves the tile missing for the settle
+                let ta = cached(slot, || TileAcc::new(make(overbook)))?;
                 Some(run_chain::<S, P, _, _>(core, self.inputs, windows, k, ta, &|| make(full)))
             })
         })
     }
 }
 
-/// Borrow the accumulator cached in a per-job cell (the batch path's
-/// analogue of `WorkerScratch::get_or_build`), rebuilding it when the
-/// cell is empty, holds a stale type, or was poisoned by a tile that
-/// panicked mid-update.
-fn lock_cell(cell: &AccCell) -> MutexGuard<'_, Option<Box<dyn Any + Send>>> {
-    cell.lock().unwrap_or_else(|poisoned| {
-        cell.clear_poison();
-        let mut guard = poisoned.into_inner();
-        *guard = None;
-        guard
-    })
+/// Lock a worker's accumulator cell, or `None` while another thread holds
+/// it (only a stalled thread the watchdog superseded at the same worker
+/// index can). A cell poisoned by a tile that panicked mid-update is
+/// cleared, so [`cached`] rebuilds it from clean.
+fn lock_cell(cell: &AccCell) -> Option<MutexGuard<'_, Option<Box<dyn Any + Send>>>> {
+    match cell.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::WouldBlock) => None,
+        Err(TryLockError::Poisoned(poisoned)) => {
+            cell.clear_poison();
+            let mut guard = poisoned.into_inner();
+            *guard = None;
+            Some(guard)
+        }
+    }
 }
 
 /// The cached `T` in `slot`, built by `build` when absent or of another
@@ -541,123 +601,6 @@ fn cached<T: Any + Send>(
         *slot = Some(Box::new(build()));
     }
     slot.as_deref_mut().and_then(|boxed| boxed.downcast_mut::<T>())
-}
-
-/// Execute a *batch* of prepared products in one run-lock window, with
-/// every job's tiles multiplexed onto a single pool synchronisation
-/// ([`mspgemm_sched::WorkerPool::run_tiles_multi`]) — the coalescing path
-/// the concurrent service uses for many small masked products. Results
-/// come back in submission order, each job settling from its own failure
-/// accounting so one tenant's tile panics never fail a sibling's product.
-/// Compaction is serial per job: the batch path exists for many *small*
-/// products.
-///
-/// Per-job `RunStats` caveats, by construction of the shared run:
-/// `thread_reports` are the whole batch's (workers interleave jobs, so
-/// busy time is not attributable per job), `elapsed` is the shared
-/// parallel window plus the job's own serial settle, and `metrics` is
-/// `None` (process-global counter deltas cannot be split across
-/// multiplexed jobs).
-pub(crate) fn run_batch<S: Semiring>(
-    exec: &ExecutorShared,
-    mut jobs: Vec<BatchJob<'_, S>>,
-) -> Vec<Result<(Csr<S::T>, RunStats), SparseError>> {
-    let _run = exec.run_lock.lock().unwrap_or_else(|e| e.into_inner());
-    let n_threads = jobs.iter().map(|j| j.core.n_threads).max().unwrap_or(1).max(1);
-    // slot buffers and accumulator cells are leased from each job's plan
-    // scratch so a cached plan re-executes without rebuilding them
-    let mut leases: Vec<Lease<S::T>> = jobs
-        .iter_mut()
-        .map(|job| {
-            obs::incr(obs::Counter::DriverRuns);
-            note_overbook_savings::<S>(job.core);
-            let bufs = std::mem::take(&mut job.scratch.slots);
-            let mut cells = std::mem::take(&mut job.scratch.accums);
-            if cells.len() < n_threads {
-                cells.resize_with(n_threads, || Mutex::new(None));
-            }
-            (bufs, cells)
-        })
-        .collect();
-    let ledgers: Vec<TileLedger> =
-        jobs.iter().map(|j| TileLedger::new(j.core.tiles.len())).collect();
-
-    let par_start = Instant::now();
-    let outcome = multiplex(&exec.pool, &jobs, &mut leases, &ledgers, n_threads);
-    let par_elapsed = par_start.elapsed();
-
-    let results = match outcome {
-        Err(e) => jobs.iter().map(|_| Err(e.clone())).collect(),
-        Ok(out) => jobs
-            .iter()
-            .zip(&mut leases)
-            .zip(ledgers)
-            .zip(&out.failures)
-            .map(|(((job, (bufs, _)), ledger), failures)| {
-                let settle_start = Instant::now();
-                let (core, inputs) = (job.core, &job.inputs[..]);
-                let (c, retry) = sole(settle::<S, Plain>(
-                    core, inputs, ledger, failures, job.cancel, bufs, None,
-                ))?;
-                let stats = RunStats::new(
-                    par_elapsed + settle_start.elapsed(),
-                    job.setup,
-                    retry,
-                    out.reports.clone(),
-                    c.nnz(),
-                    (core.estimated_work, core.tiles.len(), n_threads),
-                    None,
-                );
-                Ok((c, stats))
-            })
-            .collect(),
-    };
-    // hand the leases back on every outcome path: a failed batch must not
-    // cost the cached plan its buffers and accumulators
-    for (job, (bufs, cells)) in jobs.iter_mut().zip(leases) {
-        job.scratch.slots = bufs;
-        job.scratch.accums = cells;
-    }
-    results
-}
-
-/// The batch's parallel phase: every job's tile body, interleaved into one
-/// `run_tiles_multi` claim order.
-fn multiplex<S: Semiring>(
-    pool: &WorkerPool,
-    jobs: &[BatchJob<'_, S>],
-    leases: &mut [Lease<S::T>],
-    ledgers: &[TileLedger],
-    n_threads: usize,
-) -> Result<MultiOutcome, SparseError> {
-    let mut slots = Vec::with_capacity(jobs.len());
-    let mut cells = Vec::with_capacity(jobs.len());
-    for (job, (bufs, accs)) in jobs.iter().zip(leases.iter_mut()) {
-        slots.push(tile_slots::<S>(job.core, bufs)?);
-        cells.push(&accs[..]);
-    }
-    let bodies: Vec<_> = jobs
-        .iter()
-        .zip(&slots)
-        .zip(ledgers)
-        .zip(cells)
-        .map(|(((job, slots), ledger), accs)| {
-            let (inputs, cells, post) = (&job.inputs[..], Some(accs), PhantomData);
-            let body = TileBody::<S, Plain> { core: job.core, inputs, slots, ledger, cells, post };
-            dispatch_core::<S, _>(job.core, body)
-        })
-        .collect();
-    let runs: Vec<MultiRun<'_>> = jobs
-        .iter()
-        .zip(&bodies)
-        .map(|(job, body)| MultiRun {
-            n_tiles: job.core.tiles.len(),
-            weight: job.weight,
-            cancel: job.cancel,
-            body: body.as_ref(),
-        })
-        .collect();
-    pool.run_tiles_multi(n_threads, &runs).map_err(pool_error)
 }
 
 /// Record the scratch memory overbooking saved, as a per-run estimate:
@@ -688,7 +631,8 @@ fn note_overbook_savings<S: Semiring>(core: &PlanCore<S::T>) {
 mod tests {
     use super::*;
     use crate::config::{IterationSpace, KernelPolicy, Overbook, SimdMode};
-    use mspgemm_accum::AccumulatorKind;
+    use crate::{Executor, Plan};
+    use mspgemm_accum::{AccumulatorKind, HashAccumulator};
     use mspgemm_sched::{Schedule, TilingStrategy};
     use mspgemm_sparse::{Coo, Dense, PlusPair, PlusTimes};
 
@@ -941,5 +885,79 @@ mod tests {
             let (scalar_c, _) = spgemm::<PlusTimes>(&a, &a, &mask, &mk(SimdMode::Scalar)).unwrap();
             assert_eq!(auto_c, scalar_c, "{}", it.label());
         }
+    }
+
+    /// The address of each accumulator box in a plan's cells (`None` for
+    /// an empty cell).
+    fn cell_boxes(plan: &Plan<PlusTimes>) -> Vec<Option<usize>> {
+        let addr = |b: &Box<dyn Any + Send>| &**b as *const (dyn Any + Send) as *const u8 as usize;
+        plan.scratch.accums.iter().map(|c| lock_cell(c).unwrap().as_ref().map(addr)).collect()
+    }
+
+    #[test]
+    fn plan_cells_keep_one_accumulator_per_worker_across_runs_and_other_plans() {
+        // armed up front: a flip of the METER flag between the two runs
+        // would rebuild the boxes by design
+        obs::arm_metrics();
+        let exec = Executor::new();
+        let cfg = Config::builder().n_threads(2).n_tiles(16).build();
+        let a = lcg_matrix(80, 80, 5, 21);
+        let mut plan = exec.plan::<PlusTimes>(&a, &a, &a, &cfg).unwrap();
+        let (want, stats) = plan.execute(&a, &a, &a).unwrap();
+        let first = cell_boxes(&plan);
+        let ran = stats.thread_reports.iter().filter(|r| r.tiles_run > 0).count();
+        assert_eq!(first.len(), 2, "one cell per worker index");
+        let built = first.iter().flatten().count();
+        assert_eq!(built, ran, "one accumulator per worker that ran a tile");
+
+        // another plan runs on the same executor in between
+        let b = lcg_matrix(80, 80, 3, 22);
+        exec.plan::<PlusTimes>(&b, &b, &b, &cfg).unwrap().execute(&b, &b, &b).unwrap();
+        let (got, _) = plan.execute(&a, &a, &a).unwrap();
+        assert_eq!(got, want);
+        let second = cell_boxes(&plan);
+        for (w, (x, y)) in first.iter().zip(&second).enumerate() {
+            if x.is_some() {
+                assert_eq!(x, y, "worker {w} reuses its accumulator box");
+            }
+        }
+    }
+
+    #[test]
+    fn lock_cell_rebuilds_a_poisoned_cell() {
+        let cell: AccCell = Mutex::new(Some(Box::new(7u64)));
+        let held = cell.lock();
+        assert!(lock_cell(&cell).is_none(), "a held cell is not waited for");
+        drop(held);
+        let unwound = mspgemm_sched::catch_tile_panic(|| {
+            let _held = cell.lock();
+            panic!("tile died mid-update");
+        });
+        assert!(unwound.is_err() && cell.is_poisoned());
+        let mut guard = lock_cell(&cell).unwrap();
+        assert!(guard.is_none(), "the poisoned accumulator is dropped");
+        assert_eq!(cached(&mut guard, || 9u64).copied(), Some(9), "and rebuilt from clean");
+        drop(guard);
+        assert!(!cell.is_poisoned());
+    }
+
+    #[test]
+    fn cached_rebuilds_on_a_type_change() {
+        let builds = std::cell::Cell::new(0);
+        let unmetered = || {
+            builds.set(builds.get() + 1);
+            HashAccumulator::<PlusTimes, u32, false>::with_row_capacity_slack(8, 2)
+        };
+        let metered = || {
+            builds.set(builds.get() + 1);
+            HashAccumulator::<PlusTimes, u32, true>::with_row_capacity_slack(8, 2)
+        };
+        let mut slot: Option<Box<dyn Any + Send>> = None;
+        assert!(cached(&mut slot, unmetered).is_some());
+        assert!(cached(&mut slot, unmetered).is_some());
+        assert_eq!(builds.get(), 1, "the same type reuses the cached value");
+        assert!(cached(&mut slot, metered).is_some());
+        assert_eq!(builds.get(), 2, "the METER flip rebuilds");
+        assert!(slot.as_ref().is_some_and(|b| b.is::<HashAccumulator<PlusTimes, u32, true>>()));
     }
 }

@@ -2,10 +2,9 @@
 //! point shares.
 //!
 //! Every entry point runs a frozen plan of product nodes (a single
-//! product is the one-node plan), and plans differ only in how their
-//! tiles are claimed — one plan's chain of nodes per tile under its
-//! configured `Schedule`, or many one-node plans interleaved by
-//! `WorkerPool::run_tiles_multi`. Everything else is this module:
+//! product is the one-node plan) as a job of one driver run, whose tiles
+//! the pool's one claim loop (`WorkerPool::run_tiles_multi`) drains.
+//! Everything a tile and its settle do is this module:
 //!
 //! * [`SlotLayout`] — the mask-bound slot layout of one product over a row
 //!   partition, and [`SlotBufs`], the slot buffers it describes;
@@ -34,8 +33,8 @@ use mspgemm_accum::{
 };
 use mspgemm_rt::{failpoint, obs};
 use mspgemm_sched::{
-    catch_tile_panic, CancelToken, DisjointSlots, ExecError, PoolError, PoolRunError, Schedule,
-    ThreadReport, Tile, TileFailure, WorkerPool, WorkerScratch,
+    catch_tile_panic, CancelToken, DisjointSlots, MultiRun, PoolError, Schedule, Tile,
+    TileFailure, WorkerPool, WorkerScratch,
 };
 use mspgemm_sparse::{Csr, Idx, Semiring, SparseError};
 
@@ -246,18 +245,6 @@ pub(crate) fn pool_error(e: PoolError) -> SparseError {
     }
 }
 
-/// Split a pool run's outcome into its thread reports and tile failures;
-/// only a pool-infrastructure failure fails the run outright.
-pub(crate) fn tile_outcome(
-    outcome: Result<Vec<ThreadReport>, PoolRunError>,
-) -> Result<(Vec<ThreadReport>, Vec<TileFailure>), SparseError> {
-    match outcome {
-        Ok(reports) => Ok((reports, Vec::new())),
-        Err(PoolRunError::Tiles(ExecError { failures, reports })) => Ok((reports, failures)),
-        Err(PoolRunError::Pool(e)) => Err(pool_error(e)),
-    }
-}
-
 /// A computation over one monomorphic accumulator type, handed to
 /// [`dispatch`]. `make(cap)` builds an accumulator able to hold `cap`
 /// entries per row.
@@ -273,7 +260,7 @@ pub(crate) trait AccVisitor<S: Semiring> {
 /// metering flag: armed runs use the counting (`METER = true`)
 /// instantiations, unarmed runs compile to hot loops instruction-identical
 /// to the uninstrumented baseline. Arming is checked once per call, never
-/// per element; worker caches key on `TypeId`, so flipping the flag
+/// per element; accumulator cells key on `TypeId`, so flipping the flag
 /// between runs transparently rebuilds them.
 ///
 /// `ncols` sizes dense accumulators; hash tables built below `full` (the
@@ -771,10 +758,10 @@ fn compact_par_min() -> usize {
 /// `scratch` for the caller's next run.
 ///
 /// `par` schedules the squeeze on a pool (`(pool, n_threads)`) once the
-/// output reaches `MSPGEMM_COMPACT_PAR_MIN` bytes. Plan runs (products
-/// and graph outputs) pass their pool; batch jobs compact serially —
-/// nesting a pool run inside a batch settle would serialize against the
-/// very synchronisation the batch amortises.
+/// output reaches `MSPGEMM_COMPACT_PAR_MIN` bytes. A run of one job
+/// (products and graph outputs) passes its pool; the jobs of a batch
+/// compact serially — nesting a pool run inside a batch settle would
+/// serialize against the very synchronisation the batch amortises.
 pub(crate) fn compact<S: Semiring>(
     tiles: &[Tile],
     layout: &SlotLayout,
@@ -832,13 +819,14 @@ pub(crate) fn compact<S: Semiring>(
             let dv = DisjointSlots::new(&mut out_vals, &dest).map_err(internal)?;
             // a lost tile here falls through to the serial redo below; a
             // pool failure leaves `copied` empty and does the same
-            let dynamic = Schedule::Dynamic { chunk: 1 };
-            let _ = pool.run_tiles(n_threads, tiles.len(), dynamic, |_, _, t| {
+            let body = |_: usize, _: &mut WorkerScratch, t: usize| {
                 if let (Some(c), Some(v)) = (dc.take(t), dv.take(t)) {
                     copy(t, c, v);
                     let _ = copied[t].set(());
                 }
-            });
+            };
+            let run = MultiRun { n_tiles: tiles.len(), weight: 1, cancel: None, body: &body };
+            let _ = pool.run_tiles_multi(n_threads, Schedule::Dynamic { chunk: 1 }, &[run]);
             done = copied.iter().all(|c| c.get().is_some());
         }
     }

@@ -10,11 +10,12 @@
 //!
 //! * worker threads are spawned once and *parked* between runs
 //!   ([`mspgemm_sched::WorkerPool`]);
-//! * per-worker accumulator scratch survives across runs, keyed by plan
-//!   identity ([`mspgemm_sched::WorkerScratch`]);
 //! * the symbolic phase (config resolution, Eq. 2 estimates, tile
 //!   boundaries, mask slot layout) is captured once in a
-//!   [`Plan`] and revalidated cheaply on re-execution.
+//!   [`Plan`] and revalidated cheaply on re-execution;
+//! * a plan's slot buffers and per-worker accumulators survive across its
+//!   runs in the plan's own scratch, whatever other plans run on the
+//!   pool in between.
 //!
 //! Fault isolation is preserved through the pool: a panicking tile kills
 //! (at most) a run, never the executor. Only a panic that escapes tile
@@ -29,7 +30,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::config::Config;
-use crate::driver::{self, Plain, RunStats};
+use crate::driver::{self, Job, Plain, RunStats};
 use crate::plan::{self, Node, Plan, PlanScratch};
 use mspgemm_rt::obs;
 use mspgemm_sched::{WatchdogConfig, WorkerPool};
@@ -136,12 +137,12 @@ impl Executor {
         let core = &plan::prepare(config, vec![Node::product()], &inputs)?;
         let setup = setup_start.elapsed();
         let scratch = &mut PlanScratch::<S>::default();
-        let run = driver::run::<S, Plain>(&self.shared, core, scratch, &inputs, None, setup, false);
-        plan::sole(run)
+        let job = Job { core, inputs: &inputs, scratch, weight: 1, setup, cancel: None };
+        plan::sole(plan::only(driver::run::<S, Plain>(&self.shared, vec![job], false))?)
     }
 
     /// The shared pool/lock state, for in-crate layers (the service
-    /// dispatcher) that drive the driver entry points directly.
+    /// dispatcher, `dot.rs`) that call the driver run or the pool directly.
     pub(crate) fn shared(&self) -> &Arc<ExecutorShared> {
         &self.shared
     }

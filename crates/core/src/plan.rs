@@ -18,8 +18,9 @@
 //!   [`crate::PlanGraph`]): re-execution revalidates it and fails with
 //!   [`SparseError::PlanStructureMismatch`] (naming the drifted operand)
 //!   instead of computing garbage;
-//! * `PlanScratch` carries the output slot buffers across executions, so
-//!   a planned run performs no slot allocation and no slot zeroing at all.
+//! * `PlanScratch` carries the output slot buffers and the workers'
+//!   accumulators across executions, so a planned run performs no slot
+//!   allocation, no slot zeroing and no accumulator build at all.
 //!
 //! # What the fingerprint covers
 //!
@@ -50,12 +51,11 @@
 //! far cheaper than the prologue it replaces, and benign drift is
 //! tolerated instead of forcing a rebuild.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::config::{Config, IterationSpace, Overbook, SimdMode};
-use crate::driver::{self, Plain, RunStats};
+use crate::driver::{self, Job, Plain, RunStats};
 use crate::engine::{SlotBufs, SlotLayout};
 use crate::executor::ExecutorShared;
 use mspgemm_accum::AccumulatorKind;
@@ -67,10 +67,6 @@ use mspgemm_sched::{
     CancelToken, Tile,
 };
 use mspgemm_sparse::{Csr, Semiring, SparseError};
-
-/// Monotonic plan identities; nonzero so a fresh id never collides with a
-/// worker's default scratch key.
-static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The `A` operand of a node, index-resolved: an external input or the
 /// output of an earlier node.
@@ -144,8 +140,6 @@ pub(crate) struct PlanCore<T> {
     /// Whether the AVX2 group probe hash accumulator is in effect (see
     /// [`resolve_simd`]).
     pub(crate) simd_probe: bool,
-    /// Unique identity; keys the workers' cross-run accumulator scratch.
-    pub(crate) plan_id: u64,
 }
 
 /// Resolve the SIMD mode against the CPU, once per plan:
@@ -304,7 +298,6 @@ pub(crate) fn prepare<T: Copy + Sync>(
         max_ncols: ncols.into_iter().max().unwrap_or(0),
         simd,
         simd_probe,
-        plan_id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
     })
 }
 
@@ -412,22 +405,22 @@ pub(crate) fn fingerprint<T: Copy>(
         .collect()
 }
 
-/// Cross-execution value scratch: one slot buffer per node (see
-/// [`SlotBufs`]). Re-executing a plan resizes them *without clearing*
-/// and gets each output node's buffers back from the compaction step — so
-/// the steady state allocates nothing and memsets nothing.
+/// Cross-execution scratch of one plan, leased for each run and handed
+/// back after, on every outcome path.
 ///
-/// `accums` is the batch-path analogue of the worker-persistent
-/// [`WorkerScratch`](mspgemm_sched::WorkerScratch) slot: one type-erased
-/// accumulator cell per worker, owned by the *plan* rather than the
-/// worker because multiplexed runs interleave tiles of many jobs on each
-/// worker (a single worker-owned slot would thrash on every job switch).
-/// The cells are `mem::take`n for the run and handed back after, so a
-/// plan leased repeatedly from the service cache re-executes without
-/// rebuilding its accumulators. Staleness is type-driven, exactly like
-/// `WorkerScratch::get_or_build`: the tile body downcasts and rebuilds on
+/// `slots` holds one slot buffer per node (see [`SlotBufs`]). Re-executing
+/// a plan resizes them *without clearing* and gets each output node's
+/// buffers back from the compaction step, so the steady state allocates
+/// nothing and memsets nothing.
+///
+/// `accums` holds one type-erased accumulator cell per worker index. The
+/// cells belong to the *plan* rather than the worker: a worker that runs
+/// tiles of many plans (a Service batch, or plans alternating on one
+/// executor) finds each plan's accumulator where that plan left it.
+/// Staleness is type-driven: the tile body downcasts and rebuilds on
 /// mismatch (e.g. arming metrics flips the accumulator's `METER` const
-/// parameter and with it the `TypeId`).
+/// parameter and with it the `TypeId`), and a cell poisoned by a tile
+/// panic is rebuilt from clean.
 pub(crate) struct PlanScratch<S: Semiring> {
     pub(crate) slots: Vec<SlotBufs<S::T>>,
     pub(crate) accums: Vec<Mutex<Option<Box<dyn std::any::Any + Send>>>>,
@@ -442,11 +435,17 @@ impl<S: Semiring> Default for PlanScratch<S> {
 /// A run's outputs, one per output node in node order, plus its stats.
 pub(crate) type Outputs<T, X> = Result<(Vec<Csr<T>>, X), SparseError>;
 
+/// The sole element of a one-element list: the result of a one-job run,
+/// or the output of a product plan.
+pub(crate) fn only<X>(mut xs: Vec<X>) -> Result<X, SparseError> {
+    let missing = || SparseError::Internal { detail: "run returned no result".into() };
+    xs.pop().ok_or_else(missing)
+}
+
 /// The one output of a single-product run.
 pub(crate) fn sole<T, X>(run: Outputs<T, X>) -> Result<(Csr<T>, X), SparseError> {
-    let (mut outs, stats) = run?;
-    let missing = || SparseError::Internal { detail: "product plan produced no output".into() };
-    Ok((outs.pop().ok_or_else(missing)?, stats))
+    let (outs, stats) = run?;
+    Ok((only(outs)?, stats))
 }
 
 /// A reusable execution plan: the frozen symbolic phase, the structural
@@ -584,8 +583,8 @@ impl<S: Semiring> Plan<S> {
         sole(self.run::<Plain>(&[a, b, mask], Some(cancel)))
     }
 
-    /// Revalidate `inputs`, then run every node and return the output
-    /// nodes' results in node order.
+    /// Revalidate `inputs`, then run every node as a job list of one and
+    /// return the output nodes' results in node order.
     pub(crate) fn run<P: driver::PostOps<S::T>>(
         &mut self,
         inputs: &[&Csr<S::T>],
@@ -595,7 +594,8 @@ impl<S: Semiring> Plan<S> {
         self.check(inputs)?;
         let setup = setup_start.elapsed();
         let Plan { core, scratch, exec, .. } = self;
-        driver::run::<S, P>(exec, core, scratch, inputs, cancel, setup, true)
+        let job = Job { core, inputs, scratch, weight: 1, setup, cancel };
+        only(driver::run::<S, P>(exec, vec![job], true))?
     }
 }
 
@@ -680,16 +680,6 @@ mod tests {
             [Pin::Dims, Pin::Dims, Pin::Rows],
             "mask-bounded kernels read A and B fresh; the mask slot layout stays pinned"
         );
-    }
-
-    #[test]
-    fn plan_ids_are_unique_and_nonzero() {
-        let cfg = Config::default();
-        let m = Csr::try_from_parts(2, 2, vec![0, 1, 2], vec![1, 0], vec![1.0f64; 2]).unwrap();
-        let p1 = product(&cfg, &m, &m, &m);
-        let p2 = product(&cfg, &m, &m, &m);
-        assert_ne!(p1.plan_id, 0);
-        assert_ne!(p1.plan_id, p2.plan_id);
     }
 
     #[test]

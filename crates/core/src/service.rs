@@ -13,10 +13,11 @@
 //! * A single dispatcher thread pops jobs in **fair batches**
 //!   (per-tenant deficit round-robin with priority/deadline hints — see
 //!   [`mspgemm_sched::SubmitQueue`]) and coalesces each batch into one
-//!   tiled run: every in-place job's tiles are multiplexed onto a single
-//!   pool synchronisation
+//!   driver run over its jobs: every job's tiles are interleaved onto a
+//!   single pool synchronisation
 //!   ([`mspgemm_sched::WorkerPool::run_tiles_multi`]), so the fork/join
-//!   cost is paid once per *batch*, not once per product.
+//!   cost is paid once per *batch*, not once per product. A singleton
+//!   batch is the run of one job, exactly a plan run.
 //! * Results are bit-identical to serial execution: each job writes its
 //!   rows into its own mask-bound slot buffers, and every kernel folds
 //!   each row's products in the same `k` order no matter how tiles
@@ -26,9 +27,8 @@
 //!
 //! The dispatcher keeps a small structural **plan cache** keyed by the
 //! operands' fingerprint + configuration, so a tenant resubmitting the
-//! same shape gets PR-5 plan reuse (no re-tiling, recycled slot buffers,
-//! and — for singleton batches — the worker-persistent accumulators)
-//! without holding a [`crate::plan::Plan`] of its own.
+//! same shape gets plan reuse (no re-tiling, recycled slot buffers and
+//! accumulators) without holding a [`crate::plan::Plan`] of its own.
 //!
 //! Every submission carries a [`CancelToken`]: [`JobTicket::cancel`]
 //! withdraws a still-queued job outright and fires the token of a job the
@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 use crate::config::{Config, IterationSpace};
 use mspgemm_accum::AccumulatorKind;
 use mspgemm_sched::Schedule;
-use crate::driver::{self, run_batch, BatchJob, Plain, RunStats};
+use crate::driver::{self, Job, Plain, RunStats};
 use crate::executor::Executor;
 use crate::plan::{self, ExtFingerprint, Node, Plan};
 use mspgemm_rt::obs;
@@ -483,12 +483,12 @@ impl<S: Semiring> Drop for Service<S> {
     }
 }
 
-/// A popped entry carried through planning to execution, with the plan
-/// it leased from the cache (or prepared fresh).
+/// A popped entry carried through planning to execution. The plan it
+/// leased from the cache (or prepared fresh) travels beside it, so the
+/// run can borrow the operands and the plan scratch at once.
 struct PreparedJob<S: Semiring> {
     entry: Entry<JobPayload<S>>,
     key: u64,
-    plan: Plan<S>,
     setup: Duration,
     queue_delay: Duration,
 }
@@ -600,6 +600,7 @@ fn dispatch_loop<S: Semiring>(
         // jobs in one batch get independent plans (their slot buffers
         // cannot be shared within a run). ---
         let mut prepared: Vec<PreparedJob<S>> = Vec::with_capacity(batch.len());
+        let mut plans: Vec<Plan<S>> = Vec::with_capacity(batch.len());
         for entry in batch.drain(..) {
             let setup_start = Instant::now();
             let queue_delay = popped.saturating_duration_since(entry.enqueued);
@@ -655,41 +656,29 @@ fn dispatch_loop<S: Semiring>(
                 }
             };
             let setup = setup_start.elapsed();
-            prepared.push(PreparedJob { entry, key, plan, setup, queue_delay });
+            prepared.push(PreparedJob { entry, key, setup, queue_delay });
+            plans.push(plan);
         }
 
-        // --- numeric phase: one coalesced run (or the classic single-run
-        // path for a singleton batch, which keeps the plan-id-keyed
-        // worker-persistent accumulators — the single-tenant latency
-        // guarantee). ---
+        // --- numeric phase: one coalesced run over the batch's jobs ---
         let batch_size = prepared.len();
-        let outcomes: Vec<Result<(Csr<S::T>, RunStats), SparseError>> = if batch_size == 1 {
-            let PreparedJob { entry, plan: p, setup, .. } = &mut prepared[0];
-            let job = &entry.job;
-            let inputs = [&*job.a, &*job.b, &*job.mask];
-            vec![plan::sole(driver::run::<S, Plain>(
-                exec.shared(),
-                &p.core,
-                &mut p.scratch,
-                &inputs,
-                Some(&job.cancel),
-                *setup,
-                false,
-            ))]
-        } else {
-            let jobs: Vec<BatchJob<'_, S>> = prepared
-                .iter_mut()
-                .map(|p| BatchJob {
-                    core: &p.plan.core,
-                    inputs: [&*p.entry.job.a, &*p.entry.job.b, &*p.entry.job.mask],
-                    scratch: &mut p.plan.scratch,
-                    weight: 1 + p.entry.tag.priority as u32,
-                    setup: p.setup,
-                    cancel: Some(&p.entry.job.cancel),
-                })
+        let inputs: Vec<[&Csr<S::T>; 3]> = (prepared.iter().map(|p| &p.entry.job))
+            .map(|job| [&*job.a, &*job.b, &*job.mask])
+            .collect();
+        let jobs: Vec<Job<'_, S>> = (prepared.iter().zip(&inputs).zip(&mut plans))
+            .map(|((p, inputs), plan)| Job {
+                core: &plan.core,
+                inputs,
+                scratch: &mut plan.scratch,
+                weight: 1 + p.entry.tag.priority as u32,
+                setup: p.setup,
+                cancel: Some(&p.entry.job.cancel),
+            })
+            .collect();
+        let outcomes: Vec<Result<(Csr<S::T>, RunStats), SparseError>> =
+            (driver::run::<S, Plain>(exec.shared(), jobs, false).into_iter())
+                .map(plan::sole)
                 .collect();
-            run_batch::<S>(exec.shared(), jobs)
-        };
 
         // --- completion: hand every ticket its reply, re-park the plan
         // leases, and latch on poison. The latch (record + close) happens
@@ -705,7 +694,7 @@ fn dispatch_loop<S: Semiring>(
             let _ = poisoned.set(detail.clone());
             queue.close();
         }
-        for (p, outcome) in prepared.into_iter().zip(outcomes) {
+        for ((p, plan), outcome) in prepared.into_iter().zip(plans).zip(outcomes) {
             let reply = outcome.map(|(c, stats)| ServiceReply {
                 c,
                 stats,
@@ -719,7 +708,7 @@ fn dispatch_loop<S: Semiring>(
                 cache.clear();
                 cached_plans = 0;
             }
-            cache.entry(p.key).or_default().push(p.plan);
+            cache.entry(p.key).or_default().push(plan);
             cached_plans += 1;
         }
 

@@ -6,11 +6,13 @@
 //! zero-cost guarantee is asserted in `metrics_unarmed.rs` — it must live
 //! in a separate test binary because arming is irreversible per process.
 
-use mspgemm_core::{spgemm, Config, IterationSpace, KernelPolicy};
+use mspgemm_core::{
+    spgemm, Config, Executor, IterationSpace, KernelPolicy, Service, ServiceOptions, SubmitOptions,
+};
 use mspgemm_rt::obs;
 use mspgemm_sched::Schedule;
 use mspgemm_sparse::{Coo, Csr, PlusTimes};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 static METRICS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -218,4 +220,39 @@ fn masked_scan_filter_keeps_accumulator_and_hybrid_counts_exact() {
         assert_eq!(hist_scalar, hist_auto, "{label}: probe-length histogram");
         assert!(scalar[2] > 0 && scalar[3] > 0, "{label}: the scan both hits and misses");
     }
+}
+
+#[test]
+fn a_one_job_run_carries_its_metrics_delta_and_batched_jobs_do_not() {
+    // A Service singleton is the driver run of one job, so it reports its
+    // delta like a plan run; two jobs sharing a batch cannot split the
+    // process-global counters and report none.
+    let blocker = Arc::new(lcg_matrix(3000, 3000, 12, 31));
+    let small = Arc::new(lcg_matrix(64, 64, 5, 32));
+    let cfg = Config::builder().n_threads(2).n_tiles(8).build();
+    with_armed_metrics(|| {
+        let batched = (0..20).find_map(|_| {
+            let svc = Service::<PlusTimes>::on(&Executor::new(), ServiceOptions::default());
+            let submit = |m: &Arc<Csr<f64>>| {
+                let (a, b, c) = (Arc::clone(m), Arc::clone(m), Arc::clone(m));
+                svc.submit(a, b, c, cfg, SubmitOptions::default()).expect("admitted")
+            };
+            let first = submit(&blocker);
+            // wait for the dispatcher to take the blocker alone
+            let t0 = std::time::Instant::now();
+            while svc.depth() > 0 && t0.elapsed() < std::time::Duration::from_secs(5) {
+                std::thread::yield_now();
+            }
+            let jobs = [submit(&small), submit(&small)];
+            let alone = first.wait().expect("blocker");
+            assert_eq!(alone.batch_size, 1);
+            let m = alone.stats.metrics.expect("a singleton batch reports its metrics delta");
+            assert_eq!(m.counter("driver.runs"), 1);
+            let replies: Vec<_> = jobs.into_iter().map(|t| t.wait().expect("batch job")).collect();
+            replies.iter().all(|r| r.batch_size == 2).then_some(replies)
+        });
+        for r in batched.expect("the two jobs never shared a batch") {
+            assert!(r.stats.metrics.is_none(), "a job inside a batch reports no delta");
+        }
+    });
 }

@@ -9,13 +9,13 @@
 //! * threads are spawned lazily on first use and then *parked* on a
 //!   condvar between runs — a run costs one lock + broadcast, not `p`
 //!   `clone(2)` calls;
-//! * each worker owns a [`WorkerScratch`] that survives across runs, so
-//!   per-worker state (the sparse accumulator, in the driver) amortises to
-//!   zero steady-state allocation across an entire session, not just
-//!   across the tiles of one call;
+//! * one claim loop, [`WorkerPool::run_tiles_multi`], serves every tile
+//!   run: a list of runs whose tiles are claimed under one [`Schedule`]
+//!   (a single run is the list of one). Per-run state such as the
+//!   driver's accumulators lives with the caller, not the worker;
 //! * tiles are fault-isolated: a panicking tile is caught, recorded as a
-//!   [`TileFailure`], and the worker invalidates its scratch and keeps
-//!   draining (survivors drain the whole queue). A panic that
+//!   [`TileFailure`], and the worker keeps draining (survivors drain the
+//!   whole queue). A panic that
 //!   escapes tile isolation (scheduler-infrastructure failure) *poisons*
 //!   the pool: the in-flight run fails with [`PoolError::Poisoned`] and
 //!   all future runs are refused, but the process — and the caller — live.
@@ -54,7 +54,6 @@
 //! healing and poisons the pool — [`PoolError::Poisoned`] is the last
 //! resort, not the first response.
 
-use std::any::Any;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -64,13 +63,11 @@ use crate::cancel::CancelToken;
 
 use mspgemm_rt::obs;
 
-use crate::pool::{
-    catch_tile_panic, next_range, ExecError, ObsScratch, Schedule, ThreadReport, TileFailure,
-};
+use crate::pool::{catch_tile_panic, next_range, ObsScratch, Schedule, ThreadReport, TileFailure};
 
 /// Pool-infrastructure failure: the run never reached (or never finished)
 /// tile execution. Tile-level failures are *not* reported here — they
-/// surface as [`PoolRunError::Tiles`] with the usual [`ExecError`].
+/// surface per run in [`MultiOutcome::failures`].
 #[derive(Clone, Debug)]
 pub enum PoolError {
     /// A panic escaped tile isolation inside a worker. The pool refuses
@@ -100,28 +97,6 @@ impl std::fmt::Display for PoolError {
 }
 
 impl std::error::Error for PoolError {}
-
-/// Outcome of [`WorkerPool::run_tiles`] when something went wrong: either
-/// the pool itself failed (poisoned / could not spawn) or the run completed
-/// with per-tile failures ([`ExecError`]).
-#[derive(Debug)]
-pub enum PoolRunError {
-    /// Pool-infrastructure failure; no per-tile accounting is available.
-    Pool(PoolError),
-    /// The queue drained but one or more tiles unwound.
-    Tiles(ExecError),
-}
-
-impl std::fmt::Display for PoolRunError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolRunError::Pool(e) => e.fmt(f),
-            PoolRunError::Tiles(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for PoolRunError {}
 
 /// Liveness policy for the pool's stall watchdog.
 #[derive(Clone, Copy, Debug)]
@@ -184,54 +159,21 @@ impl Heartbeat {
     }
 }
 
-/// Per-worker state that survives across runs. The driver parks its sparse
-/// accumulator here keyed by plan identity, so re-executing a plan touches
-/// no allocator at all on the worker side.
+/// Per-worker state that survives across runs: the thread's liveness
+/// record, through which a tile body learns that the watchdog abandoned
+/// it.
 pub struct WorkerScratch {
-    slot: Option<Box<dyn Any + Send>>,
-    owner: u64,
     /// This thread's liveness record (see [`Heartbeat`]).
     hb: Arc<Heartbeat>,
 }
 
 impl Default for WorkerScratch {
     fn default() -> Self {
-        WorkerScratch { slot: None, owner: 0, hb: Arc::new(Heartbeat::new()) }
+        WorkerScratch { hb: Arc::new(Heartbeat::new()) }
     }
 }
 
 impl WorkerScratch {
-    /// Borrow the cached `T` if `key` matches the builder that produced it,
-    /// else rebuild via `build`. The cache is invalidated on key change
-    /// *or* type change — e.g. arming metrics flips the accumulator's
-    /// `METER` const parameter, which changes its `TypeId`, so a stale
-    /// unmetered accumulator can never leak into a metered run.
-    pub fn get_or_build<T, F>(&mut self, key: u64, build: F) -> &mut T
-    where
-        T: Any + Send,
-        F: FnOnce() -> T,
-    {
-        let stale =
-            self.owner != key || !self.slot.as_ref().is_some_and(|b| b.as_ref().is::<T>());
-        if stale {
-            // drop the old value first so peak memory is one scratch, not two
-            self.slot = None;
-            self.slot = Some(Box::new(build()));
-            self.owner = key;
-        }
-        match self.slot.as_deref_mut().and_then(|b| b.downcast_mut::<T>()) {
-            Some(t) => t,
-            // the branch above just installed a `T` under this key
-            None => unreachable!(),
-        }
-    }
-
-    /// Drop the cached state. Called after a tile panic: the scratch may be
-    /// mid-update, so the next `get_or_build` rebuilds from clean.
-    pub fn invalidate(&mut self) {
-        self.slot = None;
-    }
-
     /// `true` while the tile this worker is currently executing has been
     /// abandoned by the pool watchdog (it overran the stall budget and a
     /// replacement worker took over the index). A tile body that observes
@@ -541,136 +483,33 @@ impl WorkerPool {
         }
     }
 
-    /// Execute `n_tiles` tiles on `n_threads` pool workers under
-    /// `schedule` (see [`Schedule`] for the claim disciplines), with
-    /// per-tile fault isolation, claim metering and tracing, on parked,
-    /// reusable threads; `body` receives the worker's cross-run
-    /// [`WorkerScratch`].
+    /// Execute a list of tile runs on one worker team, with per-tile
+    /// fault isolation, claim metering and tracing, on parked, reusable
+    /// threads. This is the pool's one tile-run entry point: a single run
+    /// is the list of one, and several runs (a batch of small masked
+    /// products) cost one pool synchronisation instead of one each.
     ///
-    /// `body(worker, scratch, tile)` runs once per tile; an unwinding tile
-    /// is recorded as a [`TileFailure`] (and the worker's scratch
-    /// invalidated, since it may be mid-update) while siblings keep
-    /// draining. Tile failures surface as [`PoolRunError::Tiles`]; a panic
-    /// escaping the infrastructure itself poisons the pool and surfaces as
-    /// [`PoolRunError::Pool`].
-    pub fn run_tiles<F>(
-        &self,
-        n_threads: usize,
-        n_tiles: usize,
-        schedule: Schedule,
-        body: F,
-    ) -> Result<Vec<ThreadReport>, PoolRunError>
-    where
-        F: Fn(usize, &mut WorkerScratch, usize) + Sync,
-    {
-        self.run_tiles_cancellable(n_threads, n_tiles, schedule, None, body)
-    }
-
-    /// [`run_tiles`](Self::run_tiles) with a cooperative [`CancelToken`]:
-    /// once the token reports cancelled, workers stop claiming (and stop
-    /// starting queued tiles) — the remainder of the run is skipped, never
-    /// failed. The caller sees fewer tiles in the reports and decides what
-    /// cancellation means for its output; `sched.tiles_cancelled` counts
-    /// the skipped tiles when metrics are armed.
-    pub fn run_tiles_cancellable<F>(
-        &self,
-        n_threads: usize,
-        n_tiles: usize,
-        schedule: Schedule,
-        cancel: Option<&CancelToken>,
-        body: F,
-    ) -> Result<Vec<ThreadReport>, PoolRunError>
-    where
-        F: Fn(usize, &mut WorkerScratch, usize) + Sync,
-    {
-        let n_threads = n_threads.max(1);
-        if n_tiles == 0 {
-            return Ok(vec![ThreadReport::default(); n_threads]);
-        }
-        let queue = AtomicUsize::new(0);
-        let failures: Mutex<Vec<TileFailure>> = Mutex::new(Vec::new());
-        let reports: Vec<Mutex<ThreadReport>> =
-            (0..n_threads).map(|_| Mutex::new(ThreadReport::default())).collect();
-        let ctx = self.tile_ctx();
-        let meter_claims = ctx.metrics_on && !matches!(schedule, Schedule::Static);
-
-        let job = |t: usize, ws: &mut WorkerScratch| {
-            let mut report = ThreadReport::default();
-            let mut scratch = ObsScratch::default();
-            let mut static_done = false;
-            'claims: loop {
-                if cancel.is_some_and(|c| c.is_cancelled()) {
-                    break;
-                }
-                let claim_start = if meter_claims { Some(Instant::now()) } else { None };
-                let claimed =
-                    next_range(schedule, t, n_threads, n_tiles, &queue, &mut static_done);
-                if let Some(s) = claim_start {
-                    scratch.claims += 1;
-                    scratch.claim_ns.record(s.elapsed().as_nanos() as u64);
-                }
-                let Some((lo, hi)) = claimed else { break };
-                for tile in lo..hi {
-                    if cancel.is_some_and(|c| c.is_cancelled()) {
-                        break 'claims;
-                    }
-                    let outcome =
-                        ctx.execute(t, tile, ws, &mut report, &mut scratch, |ws| body(t, ws, tile));
-                    if let Err(failure) = outcome {
-                        failures.lock().unwrap_or_else(|e| e.into_inner()).push(failure);
-                    }
-                }
-            }
-            // flushed here — before the worker decrements `active` — so a
-            // snapshot delta taken around the run sees every sample
-            if ctx.metrics_on {
-                scratch.flush(report.busy);
-            }
-            *reports[t].lock().unwrap_or_else(|e| e.into_inner()) = report;
-        };
-
-        self.run(n_threads, &job).map_err(PoolRunError::Pool)?;
-
-        let mut failures = failures.into_inner().unwrap_or_else(|e| e.into_inner());
-        let reports: Vec<ThreadReport> = reports
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect();
-        if ctx.metrics_on && cancel.is_some_and(|c| c.is_cancelled()) {
-            let touched =
-                reports.iter().map(|r| r.tiles_run).sum::<usize>() + failures.len();
-            obs::add(obs::Counter::SchedTilesCancelled, (n_tiles - touched) as u64);
-        }
-        if failures.is_empty() {
-            Ok(reports)
-        } else {
-            failures.sort_by_key(|f| f.tile);
-            Err(PoolRunError::Tiles(ExecError { failures, reports }))
-        }
-    }
-
-    /// Execute several independent tile runs *multiplexed* onto one worker
-    /// team: the tile queues of all `runs` are interleaved into a single
-    /// deterministic claim order and drained by `n_threads` workers, so a
-    /// batch of small masked products costs one pool synchronisation
-    /// instead of one per product.
+    /// Workers claim positions of one claim order under `schedule` (see
+    /// [`Schedule`] for the claim disciplines). With one run the order is
+    /// its tiles `0..n_tiles`, so the run claims exactly as the schedule
+    /// says. With several it is a weighted round-robin interleave: each
+    /// fairness round, run `r` contributes up to `runs[r].weight` of its
+    /// remaining tiles (a weight of 0 counts as 1). The order is a pure
+    /// function of `(n_tiles, weight)` across the slice, so scheduling is
+    /// deterministic even though which *worker* executes a tile is not.
     ///
-    /// The interleave is weighted round-robin: each fairness round, run
-    /// `r` contributes up to `runs[r].weight` of its remaining tiles (a
-    /// weight of 0 counts as 1). The order is a pure function of
-    /// `(n_tiles, weight)` across the slice — scheduling is deterministic
-    /// even though which *worker* executes a given tile is not.
-    ///
-    /// Fault isolation is per tile *and* per run: an unwinding tile is
-    /// recorded under its own run in [`MultiOutcome::failures`] (and the
-    /// worker's scratch invalidated) while every other run's tiles keep
-    /// draining untouched. Tile failures therefore never surface as an
-    /// `Err` here — only pool-infrastructure failures do — because one
-    /// tenant's failure must not fail a sibling's run; callers settle each
-    /// run from its own failure list.
+    /// A cancelled run's tiles are skipped, never failed; a sole run that
+    /// is cancelled also stops its workers claiming. An unwinding tile is
+    /// recorded under its own run in [`MultiOutcome::failures`] while
+    /// every other tile keeps draining, so tile failures never surface as
+    /// an `Err` here (one tenant's failure must not fail a sibling's run;
+    /// callers settle each run from its own failure list). Only a panic
+    /// escaping the infrastructure, which poisons the pool, or a failed
+    /// spawn does.
     pub fn run_tiles_multi(
         &self,
         n_threads: usize,
+        schedule: Schedule,
         runs: &[MultiRun<'_>],
     ) -> Result<MultiOutcome, PoolError> {
         let n_threads = n_threads.max(1);
@@ -683,13 +522,11 @@ impl WorkerPool {
                 failures: runs.iter().map(|_| Vec::new()).collect(),
             });
         }
-        // Deterministic weighted-round-robin interleave. Workers claim
-        // positions in this order via one shared cursor (dynamic, chunk 1
-        // — the batch path exists for many *small* runs, where per-tile
-        // claims are the right granularity).
-        let mut order: Vec<(usize, usize)> = Vec::with_capacity(total);
+        // The claim order of several runs, built once; a sole run's order
+        // is the identity and is not materialised.
+        let mut order: Vec<(usize, usize)> = Vec::new();
         let mut next: Vec<usize> = vec![0; runs.len()];
-        while order.len() < total {
+        while runs.len() > 1 && order.len() < total {
             for (r, run) in runs.iter().enumerate() {
                 let take = (run.weight.max(1) as usize).min(run.n_tiles - next[r]);
                 for _ in 0..take {
@@ -698,44 +535,53 @@ impl WorkerPool {
                 }
             }
         }
-        let cursor = AtomicUsize::new(0);
+        let sole_cancel = match runs {
+            [only] => only.cancel,
+            _ => None,
+        };
+        let queue = AtomicUsize::new(0);
         let completed: Vec<AtomicUsize> = runs.iter().map(|_| AtomicUsize::new(0)).collect();
-        let skipped: Vec<AtomicUsize> = runs.iter().map(|_| AtomicUsize::new(0)).collect();
         let failures: Mutex<Vec<(usize, TileFailure)>> = Mutex::new(Vec::new());
         let reports: Vec<Mutex<ThreadReport>> =
             (0..n_threads).map(|_| Mutex::new(ThreadReport::default())).collect();
         let ctx = self.tile_ctx();
+        let meter_claims = ctx.metrics_on && !matches!(schedule, Schedule::Static);
 
         let job = |t: usize, ws: &mut WorkerScratch| {
             let mut report = ThreadReport::default();
             let mut scratch = ObsScratch::default();
-            loop {
-                let claim_start = if ctx.metrics_on { Some(Instant::now()) } else { None };
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            let mut static_done = false;
+            while !sole_cancel.is_some_and(|c| c.is_cancelled()) {
+                let claim_start = if meter_claims { Some(Instant::now()) } else { None };
+                let claimed = next_range(schedule, t, n_threads, total, &queue, &mut static_done);
                 if let Some(s) = claim_start {
                     scratch.claims += 1;
                     scratch.claim_ns.record(s.elapsed().as_nanos() as u64);
                 }
-                if idx >= order.len() {
-                    break;
-                }
-                let (r, tile) = order[idx];
-                // cooperative cancellation: a cancelled run's remaining
-                // tiles are skipped (not failed) — siblings untouched
-                if runs[r].cancel.is_some_and(|c| c.is_cancelled()) {
-                    skipped[r].fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let body = runs[r].body;
-                match ctx.execute(t, tile, ws, &mut report, &mut scratch, |ws| body(t, ws, tile)) {
-                    Ok(()) => {
-                        completed[r].fetch_add(1, Ordering::Relaxed);
+                let Some((lo, hi)) = claimed else { break };
+                for pos in lo..hi {
+                    let (r, tile) = order.get(pos).copied().unwrap_or((0, pos));
+                    let run = &runs[r];
+                    // cooperative cancellation: a cancelled run's
+                    // remaining tiles are skipped (not failed)
+                    if run.cancel.is_some_and(|c| c.is_cancelled()) {
+                        continue;
                     }
-                    Err(failure) => {
-                        failures.lock().unwrap_or_else(|e| e.into_inner()).push((r, failure));
+                    let body = run.body;
+                    let outcome =
+                        ctx.execute(t, tile, ws, &mut report, &mut scratch, |ws| body(t, ws, tile));
+                    match outcome {
+                        Ok(()) => {
+                            completed[r].fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(failure) => {
+                            failures.lock().unwrap_or_else(|e| e.into_inner()).push((r, failure));
+                        }
                     }
                 }
             }
+            // flushed here — before the worker decrements `active` — so a
+            // snapshot delta taken around the run sees every sample
             if ctx.metrics_on {
                 scratch.flush(report.busy);
             }
@@ -751,26 +597,31 @@ impl WorkerPool {
         for v in &mut per_run {
             v.sort_by_key(|f| f.tile);
         }
-        let skipped: Vec<usize> = skipped.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        if ctx.metrics_on {
-            let total_skipped: usize = skipped.iter().sum();
-            if total_skipped > 0 {
-                obs::add(obs::Counter::SchedTilesCancelled, total_skipped as u64);
-            }
+        let completed: Vec<usize> = completed.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        // every tile neither completed nor failed was skipped by a cancel
+        let skipped: Vec<usize> = runs
+            .iter()
+            .zip(&completed)
+            .zip(&per_run)
+            .map(|((run, done), failed)| run.n_tiles - done - failed.len())
+            .collect();
+        let total_skipped: usize = skipped.iter().sum();
+        if ctx.metrics_on && total_skipped > 0 {
+            obs::add(obs::Counter::SchedTilesCancelled, total_skipped as u64);
         }
         Ok(MultiOutcome {
             reports: reports
                 .into_iter()
                 .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
                 .collect(),
-            completed: completed.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+            completed,
             skipped,
             failures: per_run,
         })
     }
 }
 
-/// Per-run constants of the tile loops, sampled once per run so per-tile
+/// Per-run constants of the claim loop, sampled once per run so per-tile
 /// observability costs one branch on a local bool.
 #[derive(Clone, Copy)]
 struct TileCtx {
@@ -781,12 +632,11 @@ struct TileCtx {
 }
 
 impl TileCtx {
-    /// Execute one claimed tile under the pool's fault model, shared by
-    /// every claim loop: stamp the worker's heartbeat, run `body`
-    /// panic-isolated, and account the outcome in `report` / `scratch`.
+    /// Execute one claimed tile under the pool's fault model: stamp the
+    /// worker's heartbeat, run `body` panic-isolated, and account the
+    /// outcome in `report` / `scratch`.
     /// A tile that unwinds — or that the watchdog abandoned while it ran —
-    /// comes back as a [`TileFailure`], and the worker's cross-run scratch
-    /// is invalidated, since it may be mid-update.
+    /// comes back as a [`TileFailure`].
     fn execute(
         &self,
         t: usize,
@@ -837,8 +687,6 @@ impl TileCtx {
         };
         report.tiles_failed += 1;
         scratch.failed += 1;
-        // cross-run scratch may be mid-update; rebuild from clean on next use
-        ws.invalidate();
         Err(TileFailure { tile, payload, elapsed: start.elapsed() })
     }
 }
@@ -855,8 +703,8 @@ pub struct MultiRun<'a> {
     /// claim time while sibling runs keep draining untouched. `None`
     /// means the run is not cancellable.
     pub cancel: Option<&'a CancelToken>,
-    /// Per-tile body, `body(worker, scratch, tile)` — same contract as the
-    /// body of [`WorkerPool::run_tiles`].
+    /// Per-tile body, `body(worker, scratch, tile)`, run once per tile
+    /// under the pool's fault model.
     pub body: &'a (dyn Fn(usize, &mut WorkerScratch, usize) + Sync),
 }
 
@@ -868,9 +716,9 @@ pub struct MultiOutcome {
     pub reports: Vec<ThreadReport>,
     /// Tiles completed per run.
     pub completed: Vec<usize>,
-    /// Tiles skipped per run because the run's cancel token was set when
-    /// they came up for claim. `completed + skipped + failures` accounts
-    /// for every tile of every run.
+    /// Tiles skipped per run because the run's cancel token was set
+    /// before they started. `completed + skipped + failures` accounts for
+    /// every tile of every run.
     pub skipped: Vec<usize>,
     /// Failures per run, each sorted by tile index. A run succeeded iff
     /// its list is empty.
@@ -912,7 +760,6 @@ fn execute_job(
         if st.poison.is_none() {
             st.poison = Some(format!("worker {idx}: {msg}"));
         }
-        scratch.invalidate();
     }
     st.active -= 1;
     if st.active == 0 {
@@ -1000,6 +847,55 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    /// The claim shape a batch of several runs uses.
+    const BATCH: Schedule = Schedule::Dynamic { chunk: 1 };
+
+    /// A run in which one or more tiles failed: the failures (sorted by
+    /// tile) and the per-worker reports.
+    #[derive(Debug)]
+    struct Failed {
+        failures: Vec<TileFailure>,
+        reports: Vec<ThreadReport>,
+    }
+
+    /// Why a one-run call did not come back clean.
+    #[derive(Debug)]
+    enum RunError {
+        Pool(PoolError),
+        Tiles(Failed),
+    }
+
+    impl std::fmt::Display for RunError {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            match self {
+                RunError::Pool(e) => e.fmt(f),
+                RunError::Tiles(e) => write!(f, "{} tile(s) failed", e.failures.len()),
+            }
+        }
+    }
+
+    /// One run of `n_tiles` through the pool's single entry point, as the
+    /// list of one.
+    fn run_one(
+        pool: &WorkerPool,
+        n_threads: usize,
+        n_tiles: usize,
+        schedule: Schedule,
+        cancel: Option<&CancelToken>,
+        body: impl Fn(usize, &mut WorkerScratch, usize) + Sync,
+    ) -> Result<Vec<ThreadReport>, RunError> {
+        let runs = [MultiRun { n_tiles, weight: 1, cancel, body: &body }];
+        let mut out = pool.run_tiles_multi(n_threads, schedule, &runs).map_err(RunError::Pool)?;
+        let failures = out.failures.pop().unwrap_or_default();
+        let accounted = out.completed[0] + out.skipped[0] + failures.len();
+        assert_eq!(accounted, n_tiles, "every tile is completed, skipped or failed");
+        if failures.is_empty() {
+            Ok(out.reports)
+        } else {
+            Err(RunError::Tiles(Failed { failures, reports: out.reports }))
+        }
+    }
+
     #[test]
     fn every_tile_runs_exactly_once_on_every_schedule() {
         let pool = WorkerPool::new();
@@ -1011,11 +907,10 @@ mod tests {
         ] {
             let n_tiles = 97;
             let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-            let reports = pool
-                .run_tiles(4, n_tiles, schedule, |_, _, tile| {
-                    counts[tile].fetch_add(1, Ordering::Relaxed);
-                })
-                .unwrap();
+            let reports = run_one(&pool, 4, n_tiles, schedule, None, |_, _, tile| {
+                counts[tile].fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
             for (i, c) in counts.iter().enumerate() {
                 assert_eq!(c.load(Ordering::Relaxed), 1, "tile {i} under {schedule:?}");
             }
@@ -1027,64 +922,26 @@ mod tests {
     fn workers_are_spawned_once_and_reused() {
         let pool = WorkerPool::new();
         for _ in 0..10 {
-            pool.run_tiles(3, 32, Schedule::Dynamic { chunk: 1 }, |_, _, _| {}).unwrap();
+            run_one(&pool, 3, 32, Schedule::Dynamic { chunk: 1 }, None, |_, _, _| {}).unwrap();
         }
         assert_eq!(pool.spawned_workers(), 3, "thread count stays flat across runs");
         // a wider run grows the pool once; narrower runs after that reuse it
-        pool.run_tiles(5, 32, Schedule::Static, |_, _, _| {}).unwrap();
-        pool.run_tiles(2, 32, Schedule::Static, |_, _, _| {}).unwrap();
+        run_one(&pool, 5, 32, Schedule::Static, None, |_, _, _| {}).unwrap();
+        run_one(&pool, 2, 32, Schedule::Static, None, |_, _, _| {}).unwrap();
         assert_eq!(pool.spawned_workers(), 5);
-    }
-
-    #[test]
-    fn worker_scratch_survives_across_runs() {
-        let pool = WorkerPool::new();
-        let builds = AtomicU64::new(0);
-        for _ in 0..5 {
-            pool.run_tiles(2, 16, Schedule::Static, |_, ws, _| {
-                let v: &mut Vec<u8> = ws.get_or_build(7, || {
-                    builds.fetch_add(1, Ordering::Relaxed);
-                    Vec::new()
-                });
-                v.push(0);
-            })
-            .unwrap();
-        }
-        assert_eq!(
-            builds.load(Ordering::Relaxed),
-            2,
-            "one build per worker for the whole session, not per run"
-        );
-    }
-
-    #[test]
-    fn scratch_rebuilds_on_key_or_type_change() {
-        let mut ws = WorkerScratch::default();
-        let v: &mut Vec<u8> = ws.get_or_build(1, || vec![1u8]);
-        v.push(2);
-        assert_eq!(ws.get_or_build::<Vec<u8>, _>(1, Vec::new), &[1, 2], "same key reuses");
-        assert!(ws.get_or_build::<Vec<u8>, _>(2, Vec::new).is_empty(), "key change rebuilds");
-        let s: &mut String = ws.get_or_build(2, String::new);
-        assert!(s.is_empty(), "type change rebuilds even under the same key");
-        ws.invalidate();
-        assert!(
-            ws.get_or_build::<String, _>(2, String::new).is_empty(),
-            "invalidate drops the cached state"
-        );
     }
 
     #[test]
     fn tile_panic_is_isolated_and_does_not_poison_the_pool() {
         let pool = WorkerPool::new();
-        let err = pool
-            .run_tiles(4, 40, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
-                if tile == 13 {
-                    panic!("kernel died on tile {tile}");
-                }
-            })
-            .expect_err("tile 13 must be reported");
+        let err = run_one(&pool, 4, 40, Schedule::Dynamic { chunk: 1 }, None, |_, _, tile| {
+            if tile == 13 {
+                panic!("kernel died on tile {tile}");
+            }
+        })
+        .expect_err("tile 13 must be reported");
         match err {
-            PoolRunError::Tiles(e) => {
+            RunError::Tiles(e) => {
                 assert_eq!(e.failures.len(), 1);
                 assert_eq!(e.failures[0].tile, 13);
                 assert!(e.failures[0].payload.contains("kernel died on tile 13"));
@@ -1094,33 +951,12 @@ mod tests {
                     "survivors drain the queue"
                 );
             }
-            PoolRunError::Pool(e) => panic!("tile failure must not be a pool failure: {e}"),
+            RunError::Pool(e) => panic!("tile failure must not be a pool failure: {e}"),
         }
         // the pool is still healthy: a follow-up run succeeds
         let reports =
-            pool.run_tiles(4, 40, Schedule::Dynamic { chunk: 1 }, |_, _, _| {}).unwrap();
+            run_one(&pool, 4, 40, Schedule::Dynamic { chunk: 1 }, None, |_, _, _| {}).unwrap();
         assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 40);
-    }
-
-    #[test]
-    fn tile_panic_invalidates_the_worker_scratch() {
-        let pool = WorkerPool::new();
-        let builds = AtomicU64::new(0);
-        let result = pool.run_tiles(1, 8, Schedule::Static, |_, ws, tile| {
-            ws.get_or_build(3, || {
-                builds.fetch_add(1, Ordering::Relaxed);
-                0u64
-            });
-            if tile == 2 {
-                panic!("mid-update");
-            }
-        });
-        assert!(matches!(result, Err(PoolRunError::Tiles(_))));
-        assert_eq!(
-            builds.load(Ordering::Relaxed),
-            2,
-            "scratch is rebuilt exactly once, after the panic"
-        );
     }
 
     #[test]
@@ -1137,31 +973,30 @@ mod tests {
         // all future runs are refused
         let err = pool.run(2, &|_, _| {}).expect_err("poison is permanent");
         assert!(matches!(err, PoolError::Poisoned { .. }));
-        let err = pool
-            .run_tiles(2, 8, Schedule::Static, |_, _, _| {})
-            .expect_err("run_tiles is refused too");
-        assert!(matches!(err, PoolRunError::Pool(PoolError::Poisoned { .. })));
+        let err = run_one(&pool, 2, 8, Schedule::Static, None, |_, _, _| {})
+            .expect_err("tile runs are refused too");
+        assert!(matches!(err, RunError::Pool(PoolError::Poisoned { .. })));
     }
 
     #[test]
     fn debug_poison_refuses_future_runs() {
         let pool = WorkerPool::new();
-        pool.run_tiles(2, 8, Schedule::Static, |_, _, _| {}).unwrap();
+        run_one(&pool, 2, 8, Schedule::Static, None, |_, _, _| {}).unwrap();
         pool.debug_poison("injected for test");
-        let err = pool
-            .run_tiles(2, 8, Schedule::Static, |_, _, _| {})
+        let err = run_one(&pool, 2, 8, Schedule::Static, None, |_, _, _| {})
             .expect_err("poisoned pool refuses");
         assert!(
-            matches!(err, PoolRunError::Pool(PoolError::Poisoned { ref detail }) if detail.contains("injected"))
+            matches!(err, RunError::Pool(PoolError::Poisoned { ref detail })
+                if detail.contains("injected"))
         );
     }
 
     #[test]
     fn zero_tiles_is_a_noop() {
         let pool = WorkerPool::new();
-        let reports = pool
-            .run_tiles(4, 0, Schedule::Static, |_, _, _: usize| panic!("no tiles"))
-            .unwrap();
+        let reports =
+            run_one(&pool, 4, 0, Schedule::Static, None, |_, _, _: usize| panic!("no tiles"))
+                .unwrap();
         assert_eq!(reports.len(), 4);
         assert_eq!(pool.spawned_workers(), 0, "no work, no threads");
     }
@@ -1169,7 +1004,7 @@ mod tests {
     #[test]
     fn drop_joins_all_workers() {
         let pool = WorkerPool::new();
-        pool.run_tiles(4, 16, Schedule::Dynamic { chunk: 1 }, |_, _, _| {}).unwrap();
+        run_one(&pool, 4, 16, Schedule::Dynamic { chunk: 1 }, None, |_, _, _| {}).unwrap();
         drop(pool); // must not hang or leak threads
     }
 
@@ -1195,7 +1030,7 @@ mod tests {
             .zip(&bodies)
             .map(|(&n_tiles, body)| MultiRun { n_tiles, weight: 1, cancel: None, body: body.as_ref() })
             .collect();
-        let out = pool.run_tiles_multi(4, &runs).unwrap();
+        let out = pool.run_tiles_multi(4, BATCH, &runs).unwrap();
         for (r, c) in counts.iter().enumerate() {
             for (i, n) in c.iter().enumerate() {
                 assert_eq!(n.load(Ordering::Relaxed), 1, "run {r} tile {i}");
@@ -1226,7 +1061,7 @@ mod tests {
             MultiRun { n_tiles: 4, weight: 2, cancel: None, body: &body0 },
             MultiRun { n_tiles: 4, weight: 1, cancel: None, body: &body1 },
         ];
-        pool.run_tiles_multi(1, &runs).unwrap();
+        pool.run_tiles_multi(1, BATCH, &runs).unwrap();
         let seen = seen.into_inner().unwrap();
         assert_eq!(
             seen,
@@ -1253,7 +1088,7 @@ mod tests {
             MultiRun { n_tiles: 10, weight: 1, cancel: None, body: &body_bad },
             MultiRun { n_tiles: 20, weight: 1, cancel: None, body: &body_ok },
         ];
-        let out = pool.run_tiles_multi(4, &runs).unwrap();
+        let out = pool.run_tiles_multi(4, BATCH, &runs).unwrap();
         assert!(out.failures[0].is_empty(), "healthy run 0 sees no failures");
         assert!(out.failures[2].is_empty(), "healthy run 2 sees no failures");
         assert_eq!(out.failures[1].len(), 1);
@@ -1263,13 +1098,13 @@ mod tests {
         assert_eq!(out.completed[1], 9);
         assert_eq!(out.completed[2], 20);
         // the pool itself stays healthy
-        pool.run_tiles(2, 8, Schedule::Static, |_, _, _| {}).unwrap();
+        run_one(&pool, 2, 8, Schedule::Static, None, |_, _, _| {}).unwrap();
     }
 
     #[test]
     fn multi_run_empty_batch_is_a_noop() {
         let pool = WorkerPool::new();
-        let out = pool.run_tiles_multi(4, &[]).unwrap();
+        let out = pool.run_tiles_multi(4, BATCH, &[]).unwrap();
         assert!(out.completed.is_empty());
         assert_eq!(pool.spawned_workers(), 0, "no work, no threads");
     }
@@ -1277,11 +1112,10 @@ mod tests {
     #[test]
     fn reports_account_for_busy_time() {
         let pool = WorkerPool::new();
-        let reports = pool
-            .run_tiles(2, 8, Schedule::Dynamic { chunk: 1 }, |_, _, _| {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            })
-            .unwrap();
+        let reports = run_one(&pool, 2, 8, Schedule::Dynamic { chunk: 1 }, None, |_, _, _| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        })
+        .unwrap();
         assert!(reports.iter().any(|r| r.busy.as_micros() > 0));
         assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 8);
     }
@@ -1292,16 +1126,15 @@ mod tests {
             stall_budget: Duration::from_millis(30),
             max_respawns: 4,
         });
-        let err = pool
-            .run_tiles(2, 8, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
-                if tile == 0 {
-                    // a bounded stall, well past the budget
-                    std::thread::sleep(Duration::from_millis(200));
-                }
-            })
-            .expect_err("the abandoned tile must be reported");
+        let err = run_one(&pool, 2, 8, Schedule::Dynamic { chunk: 1 }, None, |_, _, tile| {
+            if tile == 0 {
+                // a bounded stall, well past the budget
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        })
+        .expect_err("the abandoned tile must be reported");
         match err {
-            PoolRunError::Tiles(e) => {
+            RunError::Tiles(e) => {
                 assert_eq!(e.failures.len(), 1);
                 assert_eq!(e.failures[0].tile, 0);
                 assert!(
@@ -1315,7 +1148,7 @@ mod tests {
                     "every other tile drains (replacement restores width)"
                 );
             }
-            PoolRunError::Pool(e) => {
+            RunError::Pool(e) => {
                 panic!("a bounded stall must not poison the pool: {e}")
             }
         }
@@ -1324,7 +1157,7 @@ mod tests {
         // the pool still serves: exactly one thread per index participates
         // (the superseded zombie exited), so a follow-up run is exact
         let reports =
-            pool.run_tiles(2, 16, Schedule::Dynamic { chunk: 1 }, |_, _, _| {}).unwrap();
+            run_one(&pool, 2, 16, Schedule::Dynamic { chunk: 1 }, None, |_, _, _| {}).unwrap();
         assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 16);
         assert_eq!(pool.respawned_workers(), 1, "healthy runs trigger no respawns");
     }
@@ -1335,25 +1168,23 @@ mod tests {
             stall_budget: Duration::from_millis(20),
             max_respawns: 0,
         });
-        let err = pool
-            .run_tiles(2, 4, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
-                if tile == 0 {
-                    std::thread::sleep(Duration::from_millis(120));
-                }
-            })
-            .expect_err("exhausted budget must fail the run");
+        let err = run_one(&pool, 2, 4, Schedule::Dynamic { chunk: 1 }, None, |_, _, tile| {
+            if tile == 0 {
+                std::thread::sleep(Duration::from_millis(120));
+            }
+        })
+        .expect_err("exhausted budget must fail the run");
         assert!(
             matches!(
                 err,
-                PoolRunError::Pool(PoolError::Poisoned { ref detail })
+                RunError::Pool(PoolError::Poisoned { ref detail })
                     if detail.contains("respawn budget")
             ),
             "{err}"
         );
-        let err = pool
-            .run_tiles(2, 4, Schedule::Static, |_, _, _| {})
+        let err = run_one(&pool, 2, 4, Schedule::Static, None, |_, _, _| {})
             .expect_err("poison is permanent");
-        assert!(matches!(err, PoolRunError::Pool(PoolError::Poisoned { .. })));
+        assert!(matches!(err, RunError::Pool(PoolError::Poisoned { .. })));
     }
 
     #[test]
@@ -1362,13 +1193,12 @@ mod tests {
             stall_budget: Duration::ZERO,
             max_respawns: 4,
         });
-        let reports = pool
-            .run_tiles(2, 4, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
-                if tile == 0 {
-                    std::thread::sleep(Duration::from_millis(40));
-                }
-            })
-            .unwrap();
+        let reports = run_one(&pool, 2, 4, Schedule::Dynamic { chunk: 1 }, None, |_, _, tile| {
+            if tile == 0 {
+                std::thread::sleep(Duration::from_millis(40));
+            }
+        })
+        .unwrap();
         assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 4);
         assert_eq!(pool.respawned_workers(), 0);
     }
@@ -1391,34 +1221,33 @@ mod tests {
             MultiRun { n_tiles: 6, weight: 1, cancel: Some(&token), body: &body_a },
             MultiRun { n_tiles: 6, weight: 1, cancel: None, body: &body_b },
         ];
-        let out = pool.run_tiles_multi(1, &runs).unwrap();
+        let out = pool.run_tiles_multi(1, BATCH, &runs).unwrap();
         assert_eq!(out.completed[0], 3, "A ran tiles 0..=2 then stopped");
         assert_eq!(out.skipped[0], 3, "A3..A5 skipped at claim time");
         assert!(out.failures[0].is_empty(), "cancelled tiles are skipped, not failed");
         assert_eq!(out.completed[1], 6, "sibling B is untouched");
         assert_eq!(out.skipped[1], 0);
         // the pool stays healthy for follow-up work
-        let reports = pool.run_tiles(1, 4, Schedule::Static, |_, _, _| {}).unwrap();
+        let reports = run_one(&pool, 1, 4, Schedule::Static, None, |_, _, _| {}).unwrap();
         assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 4);
     }
 
     #[test]
-    fn run_tiles_cancellable_stops_claiming_after_cancel() {
+    fn single_run_stops_claiming_after_cancel() {
         let pool = WorkerPool::new();
         let token = CancelToken::new();
         let tok = &token;
         let ran = AtomicU64::new(0);
-        let reports = pool
-            .run_tiles_cancellable(1, 100, Schedule::Dynamic { chunk: 1 }, Some(&token), {
-                let ran = &ran;
-                move |_, _, tile| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    if tile == 4 {
-                        tok.cancel();
-                    }
+        let reports = run_one(&pool, 1, 100, Schedule::Dynamic { chunk: 1 }, Some(&token), {
+            let ran = &ran;
+            move |_, _, tile| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if tile == 4 {
+                    tok.cancel();
                 }
-            })
-            .unwrap();
+            }
+        })
+        .unwrap();
         let n = ran.load(Ordering::Relaxed);
         assert_eq!(n, 5, "tiles after the cancelling one are never started");
         assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), n as usize);
@@ -1429,15 +1258,14 @@ mod tests {
         let pool = WorkerPool::new();
         let token = CancelToken::with_deadline(Instant::now() + Duration::from_millis(25));
         let ran = AtomicU64::new(0);
-        let reports = pool
-            .run_tiles_cancellable(1, 50, Schedule::Dynamic { chunk: 1 }, Some(&token), {
-                let ran = &ran;
-                move |_, _, _| {
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(4));
-                }
-            })
-            .unwrap();
+        let reports = run_one(&pool, 1, 50, Schedule::Dynamic { chunk: 1 }, Some(&token), {
+            let ran = &ran;
+            move |_, _, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(Duration::from_millis(4));
+            }
+        })
+        .unwrap();
         let n = ran.load(Ordering::Relaxed) as usize;
         assert!(n < 50, "the deadline must cut the run short");
         assert!(token.deadline_expired());
@@ -1451,11 +1279,10 @@ mod tests {
         let pool = WorkerPool::new();
         let n_tiles = 101;
         let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-        let reports = pool
-            .run_tiles(4, n_tiles, Schedule::Static, |_, _, tile| {
-                counts[tile].fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
+        let reports = run_one(&pool, 4, n_tiles, Schedule::Static, None, |_, _, tile| {
+            counts[tile].fetch_add(1, Ordering::Relaxed);
+        })
+        .unwrap();
         for (i, c) in counts.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "tile {i}");
         }
@@ -1472,11 +1299,11 @@ mod tests {
         for chunk in [1, 3, 16] {
             let n_tiles = 97;
             let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-            let reports = pool
-                .run_tiles(3, n_tiles, Schedule::Dynamic { chunk }, |_, _, tile| {
-                    counts[tile].fetch_add(1, Ordering::Relaxed);
-                })
-                .unwrap();
+            let schedule = Schedule::Dynamic { chunk };
+            let reports = run_one(&pool, 3, n_tiles, schedule, None, |_, _, tile| {
+                counts[tile].fetch_add(1, Ordering::Relaxed);
+            })
+            .unwrap();
             for (i, c) in counts.iter().enumerate() {
                 assert_eq!(c.load(Ordering::Relaxed), 1, "tile {i} chunk {chunk}");
             }
@@ -1490,11 +1317,11 @@ mod tests {
         for chunk in [1, 4] {
             for n_tiles in [5usize, 97, 1000] {
                 let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-                let reports = pool
-                    .run_tiles(3, n_tiles, Schedule::Guided { chunk }, |_, _, tile| {
-                        counts[tile].fetch_add(1, Ordering::Relaxed);
-                    })
-                    .unwrap();
+                let schedule = Schedule::Guided { chunk };
+                let reports = run_one(&pool, 3, n_tiles, schedule, None, |_, _, tile| {
+                    counts[tile].fetch_add(1, Ordering::Relaxed);
+                })
+                .unwrap();
                 for (i, c) in counts.iter().enumerate() {
                     assert_eq!(
                         c.load(Ordering::Relaxed),
@@ -1521,11 +1348,10 @@ mod tests {
         // tile 0 is much slower; guided's shrinking tail chunks must let
         // the other thread absorb the remaining tiles (like dynamic)
         let pool = WorkerPool::new();
-        let reports = pool
-            .run_tiles(2, 64, Schedule::Guided { chunk: 1 }, |_, _, tile| {
-                spin(if tile == 0 { 6_000_000 } else { 5_000 });
-            })
-            .unwrap();
+        let reports = run_one(&pool, 2, 64, Schedule::Guided { chunk: 1 }, None, |_, _, tile| {
+            spin(if tile == 0 { 6_000_000 } else { 5_000 });
+        })
+        .unwrap();
         let total: usize = reports.iter().map(|r| r.tiles_run).sum();
         assert_eq!(total, 64);
         let max_tiles = reports.iter().map(|r| r.tiles_run).max().unwrap();
@@ -1542,11 +1368,10 @@ mod tests {
         // everything else. With static, thread 0 would own half the tiles
         // *plus* the slow one.
         let pool = WorkerPool::new();
-        let reports = pool
-            .run_tiles(2, 32, Schedule::Dynamic { chunk: 1 }, |_, _, tile| {
-                spin(if tile == 0 { 4_000_000 } else { 10_000 });
-            })
-            .unwrap();
+        let reports = run_one(&pool, 2, 32, Schedule::Dynamic { chunk: 1 }, None, |_, _, tile| {
+            spin(if tile == 0 { 4_000_000 } else { 10_000 });
+        })
+        .unwrap();
         let min_tiles = reports.iter().map(|r| r.tiles_run).min().unwrap();
         let max_tiles = reports.iter().map(|r| r.tiles_run).max().unwrap();
         assert!(
@@ -1561,7 +1386,7 @@ mod tests {
         // three workers, three tiles: worker t owns exactly tile t
         let pool = WorkerPool::new();
         let seen: Vec<AtomicU64> = (0..3).map(|_| AtomicU64::new(0)).collect();
-        pool.run_tiles(3, 3, Schedule::Static, |t, _, tile| {
+        run_one(&pool, 3, 3, Schedule::Static, None, |t, _, tile| {
             assert_eq!(t, tile, "static block of worker {t}");
             seen[t].fetch_add(1, Ordering::Relaxed);
         })
@@ -1589,11 +1414,10 @@ mod tests {
         for schedule in variants {
             for (n_threads, n_tiles) in cases {
                 let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-                let reports = pool
-                    .run_tiles(n_threads, n_tiles, schedule, |_, _, tile| {
-                        counts[tile].fetch_add(1, Ordering::Relaxed);
-                    })
-                    .unwrap();
+                let reports = run_one(&pool, n_threads, n_tiles, schedule, None, |_, _, tile| {
+                    counts[tile].fetch_add(1, Ordering::Relaxed);
+                })
+                .unwrap();
                 assert_eq!(reports.len(), n_threads, "{schedule:?} p={n_threads} n={n_tiles}");
                 for (i, c) in counts.iter().enumerate() {
                     assert_eq!(
@@ -1619,15 +1443,14 @@ mod tests {
         for schedule in Schedule::all_extended() {
             let n_tiles = 40;
             let counts: Vec<AtomicU64> = (0..n_tiles).map(|_| AtomicU64::new(0)).collect();
-            let err = pool
-                .run_tiles(4, n_tiles, schedule, |_, _, tile| {
-                    if tile == 13 {
-                        panic!("kernel died on tile {tile}");
-                    }
-                    counts[tile].fetch_add(1, Ordering::Relaxed);
-                })
-                .expect_err("tile 13 must be reported");
-            let PoolRunError::Tiles(err) = err else { panic!("{schedule:?}: pool failure") };
+            let err = run_one(&pool, 4, n_tiles, schedule, None, |_, _, tile| {
+                if tile == 13 {
+                    panic!("kernel died on tile {tile}");
+                }
+                counts[tile].fetch_add(1, Ordering::Relaxed);
+            })
+            .expect_err("tile 13 must be reported");
+            let RunError::Tiles(err) = err else { panic!("{schedule:?}: pool failure") };
             assert_eq!(err.failures.len(), 1, "{schedule:?}");
             assert_eq!(err.failures[0].tile, 13);
             assert!(err.failures[0].payload.contains("kernel died on tile 13"));
@@ -1647,58 +1470,15 @@ mod tests {
     #[test]
     fn multiple_failures_are_sorted_by_tile() {
         let pool = WorkerPool::new();
-        let err = pool
-            .run_tiles(3, 30, Schedule::Dynamic { chunk: 2 }, |_, _, tile| {
-                if tile % 7 == 0 {
-                    panic!("bad tile");
-                }
-            })
-            .expect_err("tiles 0,7,14,21,28 fail");
-        let PoolRunError::Tiles(err) = err else { panic!("tile failures, not a pool failure") };
+        let err = run_one(&pool, 3, 30, Schedule::Dynamic { chunk: 2 }, None, |_, _, tile| {
+            if tile % 7 == 0 {
+                panic!("bad tile");
+            }
+        })
+        .expect_err("tiles 0,7,14,21,28 fail");
+        let RunError::Tiles(err) = err else { panic!("tile failures, not a pool failure") };
         let failed: Vec<usize> = err.failures.iter().map(|f| f.tile).collect();
         assert_eq!(failed, vec![0, 7, 14, 21, 28]);
     }
 
-    #[test]
-    fn worker_state_persists_across_all_claimed_tiles() {
-        // the worker-persistent-scratch contract: on a healthy run, the
-        // scratch is built exactly once per worker no matter how many
-        // tiles that worker claims, under every schedule
-        for schedule in Schedule::all_extended() {
-            let pool = WorkerPool::new();
-            let inits = AtomicU64::new(0);
-            let reports = pool
-                .run_tiles(3, 48, schedule, |_, ws, _| {
-                    let seen: &mut u64 = ws.get_or_build(1, || {
-                        inits.fetch_add(1, Ordering::Relaxed);
-                        0u64
-                    });
-                    *seen += 1;
-                })
-                .unwrap();
-            let active = reports.iter().filter(|r| r.tiles_run > 0).count() as u64;
-            assert_eq!(
-                inits.load(Ordering::Relaxed),
-                active,
-                "exactly one init per worker that claimed work, {schedule:?}"
-            );
-            assert_eq!(reports.iter().map(|r| r.tiles_run).sum::<usize>(), 48);
-        }
-    }
-
-    #[test]
-    fn exec_error_display_names_tiles() {
-        let pool = WorkerPool::new();
-        let err = pool
-            .run_tiles(2, 8, Schedule::Static, |_, _, tile| {
-                if tile >= 2 {
-                    panic!("boom {tile}");
-                }
-            })
-            .expect_err("six tiles fail");
-        let msg = err.to_string();
-        assert!(msg.contains("6 tile(s) failed"), "{msg}");
-        assert!(msg.contains("tile 2"), "{msg}");
-        assert!(msg.contains("and 2 more"), "{msg}");
-    }
 }

@@ -23,8 +23,8 @@
 //! Each tile body runs under `std::panic::catch_unwind`: a misbehaving
 //! kernel can neither take down the process nor strand sibling threads.
 //! Survivors keep draining the queue; the failed tiles are collected into
-//! structured [`TileFailure`] records and surfaced through [`ExecError`],
-//! so the caller knows exactly which tiles need recovery (the masked-SpGEMM
+//! structured [`TileFailure`] records and reported per run, so the caller
+//! knows exactly which tiles need recovery (the masked-SpGEMM
 //! driver retries them serially with a conservative configuration).
 
 use std::any::Any;
@@ -112,8 +112,8 @@ impl Schedule {
 pub struct ThreadReport {
     /// Tiles this thread executed to completion.
     pub tiles_run: usize,
-    /// Tiles this thread started that unwound (recorded in the
-    /// [`ExecError`] failure list).
+    /// Tiles this thread started that unwound (each recorded as a
+    /// [`TileFailure`]).
     pub tiles_failed: usize,
     /// Wall time the thread spent inside tile bodies.
     pub busy: Duration,
@@ -130,36 +130,6 @@ pub struct TileFailure {
     /// Wall time spent inside the tile body before it unwound.
     pub elapsed: Duration,
 }
-
-/// Structured outcome of a run in which one or more tiles failed.
-///
-/// Every surviving tile still ran to completion (the queue is fully
-/// drained); `failures` lists the casualties in ascending tile order, and
-/// `reports` carries the per-thread accounting exactly as in the success
-/// path so callers can still compute load-balance statistics.
-#[derive(Clone, Debug)]
-pub struct ExecError {
-    /// The failed tiles, sorted by tile index (deterministic regardless of
-    /// thread interleaving).
-    pub failures: Vec<TileFailure>,
-    /// Per-thread reports for the whole run, including failed attempts.
-    pub reports: Vec<ThreadReport>,
-}
-
-impl std::fmt::Display for ExecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} tile(s) failed:", self.failures.len())?;
-        for failure in self.failures.iter().take(4) {
-            write!(f, " tile {} ({});", failure.tile, failure.payload)?;
-        }
-        if self.failures.len() > 4 {
-            write!(f, " … and {} more", self.failures.len() - 4)?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for ExecError {}
 
 thread_local! {
     /// Set while this thread is inside a caught tile body, so the global
@@ -186,7 +156,7 @@ fn install_quiet_hook() {
 /// Claim the next contiguous tile range for worker `t` under `schedule`,
 /// or `None` once the worker's share of the queue is drained. This is the
 /// one implementation of the three claim disciplines
-/// ([`crate::persistent::WorkerPool::run_tiles`] claims through it):
+/// ([`crate::persistent::WorkerPool::run_tiles_multi`] claims through it):
 ///
 /// * static — the worker's single offline block (`*static_done` marks it
 ///   claimed; same arithmetic as uniform tiling);

@@ -90,6 +90,23 @@ MSPGEMM_FAILPOINTS='tile-kernel=panic@p:0.02,seed:42' \
     --tenants 64 --runs 50 --deadline 200 > /dev/null
 echo "ok: concurrent replies stay bit-identical under injected tile panics"
 
+echo "== malformed CLI flags (usage error, no panic) =="
+# A numeric flag that does not parse is a usage error: the CLI prints
+# `bad --<name>` plus the usage and exits 2. It must never panic.
+for bad in "--threads abc" "--scale zz" "--kappa x"; do
+    set +e
+    # shellcheck disable=SC2086
+    err=$(target/release/mspgemm tc --graph GAP-road $bad 2>&1 >/dev/null)
+    status=$?
+    set -e
+    if [ "$status" -ne 2 ] || printf '%s' "$err" | grep -q panicked; then
+        echo "FAIL: mspgemm tc $bad exited $status (want 2, no panic):" >&2
+        printf '%s\n' "$err" >&2
+        exit 1
+    fi
+done
+echo "ok: malformed numeric flags exit 2 with usage"
+
 echo "== metrics pass (armed run + self-validation) =="
 # The CLI must produce a schema-valid mspgemm.run/1 report and a chrome
 # trace with --metrics/--trace armed, and must validate its own output
@@ -207,6 +224,7 @@ for f in crates/sched/src/pool.rs crates/sched/src/persistent.rs \
          crates/core/src/executor.rs crates/core/src/service.rs \
          crates/core/src/stress.rs crates/core/src/graph.rs \
          crates/core/src/engine.rs crates/core/src/simd.rs \
+         crates/core/src/dot.rs crates/core/src/driver2d.rs \
          crates/accum/src/hash.rs crates/accum/src/dense.rs; do
     hits=$(awk '/^#\[cfg\(test\)\]/ { exit }
                 /^[[:space:]]*\/\// { next }
@@ -218,7 +236,7 @@ for f in crates/sched/src/pool.rs crates/sched/src/persistent.rs \
     fi
 done
 [ "$gate_fail" -eq 0 ] || exit 1
-echo "ok: pool/persistent/submit/cancel/driver/plan/executor/service/stress/graph/engine/simd/hash/dense non-test code is unwrap/panic free"
+echo "ok: pool/persistent/submit/cancel/driver/plan/executor/service/stress/graph/engine/simd/dot/driver2d/hash/dense non-test code is unwrap/panic free"
 
 echo "== unsafe-justification grep gate =="
 # The accumulators and the SIMD search hold the repository's vector
